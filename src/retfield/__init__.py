@@ -40,14 +40,7 @@ from .geometry import (
     retarded_time,
     unit_direction,
 )
-from .quadrature import (
-    ConvergenceError,
-    IntegrationError,
-    QuadratureRule,
-    build_rule,
-    integrate_vector,
-    refine_estimate,
-)
+from .quadrature import ConvergenceError, QuadratureRule, build_rule
 from .sources import (
     DifferentiatedGaussianPulse,
     GaussianEnvelope,
@@ -71,7 +64,6 @@ __all__ = [
     "FieldDecomposition",
     "FrontCheckResult",
     "GaussianEnvelope",
-    "IntegrationError",
     "NATURAL",
     "ObservationPoint",
     "PhysicalConstants",
@@ -89,13 +81,11 @@ __all__ = [
     "far_kernel",
     "feature_arrival_times",
     "front_times",
-    "integrate_vector",
     "jefimenko_field",
     "light_front_check",
     "local_velocity",
     "make_envelope",
     "make_profile",
-    "refine_estimate",
     "refined_field",
     "representation_residual",
     "retarded_time",

@@ -11,11 +11,12 @@ and does not conflict with causality.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluators import EVALUATORS, FieldDecomposition, ObservationPoint
+from .evaluators import EVALUATORS, ObservationPoint
 from .geometry import NATURAL, PhysicalConstants, Vec3, as_vec3
 from .quadrature import QuadratureRule
 from .sources import SourceModel
@@ -33,18 +34,20 @@ class FeatureNotFoundError(RuntimeError):
 
 @dataclass(eq=False)
 class WaveformSeries:
-    """Field decompositions sampled on a (radius, time) grid along a ray.
+    """Field terms sampled on a (radius, time) grid along a ray.
 
-    ``samples[i][j]`` is the decomposition at ``ray_origin + radii[i] *
-    ray_direction`` and ``times[j]``.  The scalar waveform used for feature
-    tracking is the projection of the field onto ``component_axis``.
+    ``fields[i, j, k]`` is the term named ``terms[k]`` at ``ray_origin +
+    radii[i] * ray_direction`` and ``times[j]``.  The scalar waveform used
+    for feature tracking is the projection of the field onto
+    ``component_axis``.
     """
 
     ray_origin: Vec3
     ray_direction: Vec3
     radii: np.ndarray
     times: np.ndarray
-    samples: list[list[FieldDecomposition]]
+    terms: tuple[str, ...]
+    fields: np.ndarray  # (n_radii, n_times, n_terms, 3)
     component_axis: Vec3
     representation: str
 
@@ -54,6 +57,8 @@ class WaveformSeries:
         self.component_axis = as_vec3(self.component_axis)
         self.radii = np.asarray(self.radii, dtype=float)
         self.times = np.asarray(self.times, dtype=float)
+        self.terms = tuple(self.terms)
+        self.fields = np.asarray(self.fields, dtype=float)
         if self.radii.ndim != 1 or np.any(np.diff(self.radii) <= 0.0):
             raise ValueError("radii must be strictly increasing")
         steps = np.diff(self.times)
@@ -61,16 +66,21 @@ class WaveformSeries:
             raise ValueError("times must be strictly increasing")
         if steps.size and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("times must be uniformly spaced")
+        shape = (self.radii.size, self.times.size, len(self.terms), 3)
+        if self.fields.shape != shape:
+            raise ValueError(f"fields have shape {self.fields.shape}, expected {shape}")
 
     def point(self, i: int) -> Vec3:
         return self.ray_origin + self.radii[i] * self.ray_direction
 
     def total_field(self) -> np.ndarray:
-        """Total field as an (n_radii, n_times, 3) array."""
-        return np.array([[cell.total for cell in row] for row in self.samples])
+        """Total field as an (n_radii, n_times, 3) array, terms summed in order."""
+        return self.fields.sum(axis=2)
 
     def term_field(self, name: str) -> np.ndarray:
-        return np.array([[cell.terms[name] for cell in row] for row in self.samples])
+        if name not in self.terms:
+            raise KeyError(f"no term {name!r} in this series; it has {self.terms}")
+        return self.fields[:, :, self.terms.index(name)]
 
     def component(self) -> np.ndarray:
         """Selected scalar waveform, shape (n_radii, n_times)."""
@@ -91,8 +101,10 @@ def sample_waveforms(
 ) -> WaveformSeries:
     """Evaluate one representation on the full (radius, time) grid.
 
-    Results are assembled in (radius, time) order regardless of the worker
-    count, so the output is deterministic for a given build.
+    Each cell's terms are written into one preallocated array as results
+    arrive, in (radius, time) order regardless of the worker count, so the
+    output is deterministic for a given build.  The array is read-only, so
+    one series can be shared by several consumers.
     """
     try:
         evaluate = EVALUATORS[representation]
@@ -110,14 +122,11 @@ def sample_waveforms(
     times = np.asarray(times, dtype=float)
     axis = src.polarization if component_axis is None else as_vec3(component_axis)
 
-    cells = [
-        (i, j, ObservationPoint(x=origin + radii[i] * direction, t=float(times[j])))
-        for i in range(radii.size)
-        for j in range(times.size)
-    ]
+    cells = [(i, j) for i in range(radii.size) for j in range(times.size)]
 
     def run(cell):
-        i, j, obs = cell
+        i, j = cell
+        obs = ObservationPoint(x=origin + radii[i] * direction, t=float(times[j]))
         try:
             return evaluate(src, obs, rule, constants)
         except Exception as exc:
@@ -125,21 +134,22 @@ def sample_waveforms(
                 f"field evaluation failed at r={radii[i]}, t={times[j]}: {exc}"
             ) from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(run, cells))
-    else:
-        flat = [run(cell) for cell in cells]
-
-    samples = [
-        [flat[i * times.size + j] for j in range(times.size)] for i in range(radii.size)
-    ]
+    terms, fields = (), np.empty((radii.size, times.size, 0, 3))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        results = map(run, cells) if pool is None else pool.map(run, cells)
+        for (i, j), decomposition in zip(cells, results):
+            if i == j == 0:
+                terms = tuple(decomposition.terms)
+                fields = np.empty((radii.size, times.size, len(terms), 3))
+            fields[i, j] = tuple(decomposition.terms.values())
+    fields.flags.writeable = False
     return WaveformSeries(
         ray_origin=origin,
         ray_direction=direction,
         radii=radii,
         times=times,
-        samples=samples,
+        terms=terms,
+        fields=fields,
         component_axis=axis,
         representation=representation,
     )

@@ -17,10 +17,6 @@ import numpy as np
 from .domains import Ball, Box, Domain
 
 
-class IntegrationError(RuntimeError):
-    """An integrand returned a non-finite value at a quadrature node."""
-
-
 class ConvergenceError(RuntimeError):
     """Order refinement stopped making progress before reaching tolerance."""
 
@@ -77,61 +73,3 @@ def build_rule(domain: Domain, order: int) -> QuadratureRule:
         return QuadratureRule(nodes=nodes, weights=weights, order=order, domain=domain)
     raise TypeError(f"unsupported domain type: {type(domain).__name__}")
 
-
-def integrate_vector(fn, rule: QuadratureRule) -> np.ndarray:
-    """Sum w_i * fn(node_i) over the rule, componentwise.
-
-    ``fn`` maps one point (3,) to one vector (3,).  A non-finite value
-    raises IntegrationError identifying the offending node.
-    """
-    total = np.zeros(3)
-    for i, (node, w) in enumerate(zip(rule.nodes, rule.weights)):
-        value = np.asarray(fn(node), dtype=float)
-        if value.shape != (3,):
-            raise IntegrationError(
-                f"integrand returned shape {value.shape} at node {i} ({node})"
-            )
-        if not np.all(np.isfinite(value)):
-            raise IntegrationError(
-                f"integrand non-finite at node {i} ({node}): {value}"
-            )
-        total += w * value
-    return total
-
-
-def refine_estimate(
-    fn,
-    domain: Domain,
-    base_order: int,
-    max_order: int,
-    tol: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """Integrate at orders base, base+2, ... and difference consecutive levels.
-
-    Returns the last value together with the max-norm change from the
-    previous level.  Stops early once that change drops to ``tol``, and
-    raises ConvergenceError if it fails to decrease three levels in a row.
-    """
-    if base_order >= max_order:
-        raise ValueError(
-            f"base order must be below max order, got {base_order} >= {max_order}"
-        )
-    previous = None
-    err = np.inf
-    strikes = 0
-    history = []
-    for order in range(base_order, max_order + 1, 2):
-        value = integrate_vector(fn, build_rule(domain, order))
-        if previous is not None:
-            new_err = float(np.max(np.abs(value - previous)))
-            history.append(new_err)
-            strikes = strikes + 1 if new_err >= err else 0
-            err = new_err
-            if err <= tol:
-                return value, err
-            if strikes >= 3:
-                raise ConvergenceError(
-                    f"refinement stalled above tol={tol}: errors {history}"
-                )
-        previous = value
-    return previous, err

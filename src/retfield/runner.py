@@ -1,15 +1,17 @@
 """Task execution and artifact emission for configured runs.
 
-Each task samples what it needs, writes its artifacts, and contributes an
-entry to the run report.  Grid evaluation may fan out over a thread pool;
-results are always assembled in (radius, time) order before writing, so
-artifacts are byte-identical regardless of the worker count.  A physics
-check that fails (e.g. a front check on a leaky pulse) is recorded in the
-report but is not an execution error; only exceptions mark a task failed.
+Each task takes the series it needs from a per-run memo, which samples each
+representation at most once, writes its artifacts, and contributes an entry
+to the run report.  Grid evaluation may fan out over a thread pool; results
+are always assembled in (radius, time) order before writing, so artifacts
+are byte-identical regardless of the worker count.  A physics check that
+fails (e.g. a front check on a leaky pulse) is recorded in the report but is
+not an execution error; only exceptions mark a task failed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -86,19 +88,16 @@ def emit_waveform_csv(series: WaveformSeries, path: Path | str) -> Path:
     if series.radii.size == 0 or series.times.size == 0:
         raise ValueError("refusing to write an empty waveform series")
     path = Path(path)
+    terms = np.zeros(series.fields.shape[:2] + (3, 3))
+    terms[:, :, : len(series.terms)] = series.fields
+    total = series.total_field()
     lines = [_CSV_HEADER]
-    zero = np.zeros(3)
     for i, r in enumerate(series.radii):
         for j, t in enumerate(series.times):
-            cell = series.samples[i][j]
-            terms = list(cell.terms.values())
-            while len(terms) < 3:
-                terms.append(zero)
             row = [_fmt(r), _fmt(t)]
-            row.extend(_fmt(v) for v in cell.total)
-            for term in terms[:3]:
-                row.extend(_fmt(v) for v in term)
-            row.append(cell.representation)
+            row.extend(_fmt(v) for v in total[i, j])
+            row.extend(_fmt(v) for v in terms[i, j].ravel())
+            row.append(series.representation)
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -156,24 +155,9 @@ def _calibrated_rule(src, config: RunConfig, constants):
     return rule, err
 
 
-def _series(src, config, constants, rule, representation, threads) -> WaveformSeries:
-    return sample_waveforms(
-        src,
-        representation,
-        config.ray_origin,
-        config.ray_direction,
-        np.asarray(config.radii),
-        np.asarray(config.times),
-        rule,
-        constants,
-        component_axis=np.asarray(config.component_axis),
-        threads=threads,
-    )
-
-
-def _task_decompose(src, config, constants, rule, outdir, threads, fmts) -> TaskReport:
+def _task_decompose(src, config, constants, sample, outdir, fmts) -> TaskReport:
     report = TaskReport(name="decompose")
-    series = _series(src, config, constants, rule, config.representation, threads)
+    series = sample(config.representation)
     if "csv" in fmts:
         name = f"waveform_{config.representation}.csv"
         emit_waveform_csv(series, outdir / name)
@@ -183,19 +167,15 @@ def _task_decompose(src, config, constants, rule, outdir, threads, fmts) -> Task
     return report
 
 
-def _task_compare(src, config, constants, rule, outdir, threads, fmts) -> TaskReport:
+def _task_compare(src, config, constants, sample, outdir, fmts) -> TaskReport:
     report = TaskReport(name="compare")
-    series = {}
-    for representation in ("zones", "jefimenko"):
-        series[representation] = _series(
-            src, config, constants, rule, representation, threads
-        )
-        if "csv" in fmts:
+    e_zone = sample("zones").total_field()
+    e_jef = sample("jefimenko").total_field()
+    if "csv" in fmts:
+        for representation in ("zones", "jefimenko"):
             name = f"waveform_{representation}.csv"
-            emit_waveform_csv(series[representation], outdir / name)
+            emit_waveform_csv(sample(representation), outdir / name)
             report.artifacts.append(name)
-    e_zone = series["zones"].total_field()
-    e_jef = series["jefimenko"].total_field()
     scale = np.maximum(
         np.maximum(
             np.linalg.norm(e_zone, axis=-1), np.linalg.norm(e_jef, axis=-1)
@@ -212,12 +192,11 @@ def _task_compare(src, config, constants, rule, outdir, threads, fmts) -> TaskRe
     return report
 
 
-def _task_frontcheck(src, config, constants, rule, outdir, threads, fmts) -> TaskReport:
+def _task_frontcheck(src, config, constants, sample, outdir, fmts) -> TaskReport:
     report = TaskReport(name="frontcheck")
     details = {}
     for representation in ("zones", "jefimenko"):
-        series = _series(src, config, constants, rule, representation, threads)
-        result = light_front_check(series, src, constants)
+        result = light_front_check(sample(representation), src, constants)
         details[representation] = {
             "max_precursor": result.max_precursor,
             "peak": result.peak,
@@ -228,9 +207,9 @@ def _task_frontcheck(src, config, constants, rule, outdir, threads, fmts) -> Tas
     return report
 
 
-def _task_velocity(src, config, constants, rule, outdir, threads, fmts) -> TaskReport:
+def _task_velocity(src, config, constants, sample, outdir, fmts) -> TaskReport:
     report = TaskReport(name="velocity")
-    series = _series(src, config, constants, rule, config.representation, threads)
+    series = sample(config.representation)
     arrivals = feature_arrival_times(series, config.feature, config.window)
     profile = local_velocity(series.radii, arrivals, config.feature)
     if "csv" in fmts:
@@ -248,10 +227,10 @@ def _task_velocity(src, config, constants, rule, outdir, threads, fmts) -> TaskR
     return report
 
 
-def _task_scaling(src, config, constants, rule, outdir, threads, fmts) -> TaskReport:
+def _task_scaling(src, config, constants, sample, outdir, fmts) -> TaskReport:
     """Fit falloff exponents: near in the static tail, the others at the pulse."""
     report = TaskReport(name="scaling")
-    series = _series(src, config, constants, rule, "zones", threads)
+    series = sample("zones")
     r_far = max(config.radii)
     passage_end = config.t_on + config.tau + (r_far + src.domain.diameter()) / constants.c
     static_window = (passage_end, config.times[-1])
@@ -317,13 +296,28 @@ def run_tasks(
     if config.tasks:
         rule, calibration_error = _calibrated_rule(src, config, constants)
 
+    # A run has one rule and one grid, so the representation alone keys a
+    # series; each one is sampled at most once and shared by every task.
+    @functools.cache
+    def sample(representation: str) -> WaveformSeries:
+        return sample_waveforms(
+            src,
+            representation,
+            config.ray_origin,
+            config.ray_direction,
+            np.asarray(config.radii),
+            np.asarray(config.times),
+            rule,
+            constants,
+            component_axis=np.asarray(config.component_axis),
+            threads=threads,
+        )
+
     for name in config.tasks:
         task_report = TaskReport(name=name)
         start = time.perf_counter()
         try:
-            task_report = _TASK_RUNNERS[name](
-                src, config, constants, rule, outdir, threads, fmts
-            )
+            task_report = _TASK_RUNNERS[name](src, config, constants, sample, outdir, fmts)
         except Exception as exc:
             task_report.status = "error"
             task_report.details = {"error": f"{type(exc).__name__}: {exc}"}

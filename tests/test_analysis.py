@@ -12,7 +12,7 @@ from retfield.analysis import (
     zone_scaling_fit,
 )
 from retfield.domains import Ball
-from retfield.evaluators import FieldDecomposition, ObservationPoint, zone_field
+from retfield.evaluators import EVALUATORS, ObservationPoint
 from retfield.quadrature import build_rule
 from retfield.sources import (
     DifferentiatedGaussianPulse,
@@ -28,24 +28,17 @@ def synthetic_series(radii, times, signal, representation="zones"):
     """Series whose selected component equals signal(r, t), all in one term."""
     radii = np.asarray(radii, dtype=float)
     times = np.asarray(times, dtype=float)
-    zero = np.zeros(3)
-    samples = []
-    for r in radii:
-        row = []
-        for t in times:
-            terms = {
-                "near": signal(r, t) * AXIS,
-                "intermediate": zero,
-                "far": zero,
-            }
-            row.append(FieldDecomposition(terms=terms, representation=representation))
-        samples.append(row)
+    fields = np.zeros((radii.size, times.size, 3, 3))
+    for i, r in enumerate(radii):
+        for j, t in enumerate(times):
+            fields[i, j, 0] = signal(r, t) * AXIS
     return WaveformSeries(
         ray_origin=np.zeros(3),
         ray_direction=np.array([1.0, 0.0, 0.0]),
         radii=radii,
         times=times,
-        samples=samples,
+        terms=("near", "intermediate", "far"),
+        fields=fields,
         component_axis=AXIS,
         representation=representation,
     )
@@ -69,11 +62,28 @@ class TestWaveformSeries:
             synthetic_series([2.0, 1.0], [0.0, 1.0], bump)
         with pytest.raises(ValueError, match="uniform"):
             synthetic_series([1.0, 2.0], [0.0, 1.0, 3.0], bump)
+        with pytest.raises(ValueError, match="shape"):
+            WaveformSeries(
+                ray_origin=np.zeros(3),
+                ray_direction=np.array([1.0, 0.0, 0.0]),
+                radii=[1.0, 2.0],
+                times=[0.0, 1.0],
+                terms=("near", "intermediate", "far"),
+                fields=np.zeros((2, 2, 2, 3)),
+                component_axis=AXIS,
+                representation="zones",
+            )
 
     def test_component_projection(self):
         series = synthetic_series([1.0, 2.0], [0.0, 1.0, 2.0], lambda r, t: r + t)
         expected = np.add.outer([1.0, 2.0], [0.0, 1.0, 2.0])
         np.testing.assert_allclose(series.component(), expected)
+
+    def test_term_field_names_the_term(self):
+        series = synthetic_series([1.0, 2.0], [0.0, 1.0], lambda r, t: r + t)
+        np.testing.assert_array_equal(series.term_field("far"), 0.0)
+        with pytest.raises(KeyError, match="current"):
+            series.term_field("current")
 
 
 class TestSampleWaveforms:
@@ -88,11 +98,26 @@ class TestSampleWaveforms:
     def test_single_cell_matches_direct_call(self):
         src = small_source()
         rule = build_rule(src.domain, 12)
-        series = sample_waveforms(
-            src, "zones", (0, 0, 0), (1, 0, 0), [2.0], [7.0, 8.0], rule
-        )
-        direct = zone_field(src, ObservationPoint(x=(2.0, 0, 0), t=7.0), rule)
-        np.testing.assert_array_equal(series.samples[0][0].total, direct.total)
+        # t = 0.5 is ahead of the front, where terms are signed zeros
+        times = [0.5, 7.0]
+        for representation, evaluate in EVALUATORS.items():
+            series = sample_waveforms(
+                src, representation, (0, 0, 0), (1, 0, 0), [2.0], times, rule
+            )
+            for j, t in enumerate(times):
+                direct = evaluate(src, ObservationPoint(x=(2.0, 0, 0), t=t), rule)
+                assert series.terms == tuple(direct.terms)
+                assert series.total_field()[0, j].tobytes() == direct.total.tobytes()
+                for name, term in direct.terms.items():
+                    assert series.term_field(name)[0, j].tobytes() == term.tobytes()
+
+    def test_sampled_fields_are_read_only(self):
+        src = small_source()
+        rule = build_rule(src.domain, 8)
+        series = sample_waveforms(src, "jefimenko", (0, 0, 0), (1, 0, 0), [2.0], [7.0], rule)
+        assert series.fields.shape == (1, 1, 2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            series.fields[0, 0, 0, 0] = 1.0
 
     def test_representations_agree_on_series(self):
         src = small_source()
@@ -262,24 +287,15 @@ class TestZoneScalingFit:
     def test_exact_power_laws(self):
         radii = np.geomspace(1.0, 20.0, 8)
         times = np.linspace(0.0, 4.0, 9)
-        zero = np.zeros(3)
-        samples = []
-        for r in radii:
-            row = []
-            for t in times:
-                terms = {
-                    "near": (1.0 + 0.1 * t) / r**3 * AXIS,
-                    "intermediate": (1.0 + 0.1 * t) / r**2 * AXIS,
-                    "far": (1.0 + 0.1 * t) / r * AXIS,
-                }
-                row.append(FieldDecomposition(terms=terms, representation="zones"))
-            samples.append(row)
+        scale = (1.0 + 0.1 * times)[None, :] / radii[:, None]
+        fields = np.stack([scale / radii[:, None] ** 2, scale / radii[:, None], scale], axis=2)
         series = WaveformSeries(
             ray_origin=np.zeros(3),
             ray_direction=np.array([1.0, 0, 0]),
             radii=radii,
             times=times,
-            samples=samples,
+            terms=("near", "intermediate", "far"),
+            fields=fields[..., None] * AXIS,
             component_axis=AXIS,
             representation="zones",
         )

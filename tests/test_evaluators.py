@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from retfield import evaluators
 from retfield.domains import Ball, Box
 from retfield.evaluators import (
     FieldDecomposition,
@@ -13,7 +14,7 @@ from retfield.evaluators import (
     zone_field,
 )
 from retfield.geometry import NATURAL
-from retfield.quadrature import build_rule
+from retfield.quadrature import ConvergenceError, build_rule
 from retfield.sources import (
     GaussianEnvelope,
     SineSquaredPulse,
@@ -297,6 +298,23 @@ class TestRefinedField:
         obs = ObservationPoint(x=(2.0, 0, 0), t=12.0)
         refined_field("zones", src, obs, base_order=12, max_order=18, tol=1e-30, rule_cache=cache)
         assert sorted(cache) == [12, 14, 16, 18]
+
+    def test_rejects_bad_order_range(self, src):
+        obs = ObservationPoint(x=(2, 0, 0), t=5.0)
+        with pytest.raises(ValueError, match="base order"):
+            refined_field("zones", src, obs, base_order=8, max_order=8)
+
+    def test_non_convergence_raises(self, src, monkeypatch):
+        # a total that moves further with every order: the ladder stalls
+        def diverging(src, obs, rule, constants=NATURAL):
+            return FieldDecomposition(
+                terms={"x": np.array([rule.order**2, 0.0, 0.0])}, representation="zones"
+            )
+
+        monkeypatch.setitem(evaluators.EVALUATORS, "zones", diverging)
+        obs = ObservationPoint(x=(2.0, 0, 0), t=12.0)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            refined_field("zones", src, obs, base_order=4, max_order=16, tol=1e-9)
 
 
 class TestSiUnits:

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from retfield.domains import Ball, Box
-from retfield.quadrature import (
-    ConvergenceError,
-    IntegrationError,
-    build_rule,
-    integrate_vector,
-    refine_estimate,
-)
+from retfield.quadrature import build_rule
 
 UNIT_BOX = Box(lo=(0, 0, 0), hi=(1, 1, 1))
 SYM_BOX = Box(lo=(-1, -1, -1), hi=(1, 1, 1))
+
+
+def integrate(fn, rule):
+    """Weighted sum of a vector integrand mapping nodes (n, 3) to values (n, 3)."""
+    return rule.weights @ fn(rule.nodes)
+
+
+def ladder(fn, domain, orders):
+    """Integrals at each order, and the max-norm change between neighbours."""
+    values = [integrate(fn, build_rule(domain, order)) for order in orders]
+    changes = [float(np.max(np.abs(b - a))) for a, b in zip(values, values[1:])]
+    return values, changes
 
 
 class TestBuildRule:
@@ -89,83 +95,60 @@ class TestExactness:
 
 
 class TestIntegrateVector:
+    """Vector integrands integrated as ``rule.weights @ f(rule.nodes)``."""
+
     def test_zero_integrand(self):
         rule = build_rule(UNIT_BOX, 3)
-        np.testing.assert_array_equal(
-            integrate_vector(lambda p: np.zeros(3), rule), np.zeros(3)
-        )
+        np.testing.assert_array_equal(integrate(np.zeros_like, rule), np.zeros(3))
 
     def test_constant_integrand(self):
         box = Box(lo=(0, 0, 0), hi=(2, 1, 1))
         rule = build_rule(box, 3)
         c = np.array([1.5, -2.0, 0.25])
         np.testing.assert_allclose(
-            integrate_vector(lambda p: c, rule), c * box.volume(), rtol=1e-13
+            integrate(lambda p: np.broadcast_to(c, p.shape), rule),
+            c * box.volume(),
+            rtol=1e-13,
         )
 
     def test_odd_integrand_over_symmetric_box(self):
         rule = build_rule(SYM_BOX, 6)
-        value = integrate_vector(lambda p: np.array([p[0], p[1] ** 3, p[0] * p[2]]), rule)
+        value = integrate(
+            lambda p: np.stack([p[:, 0], p[:, 1] ** 3, p[:, 0] * p[:, 2]], axis=1), rule
+        )
         np.testing.assert_allclose(value, 0.0, atol=1e-13)
-
-    def test_non_finite_value_names_node(self):
-        rule = build_rule(UNIT_BOX, 2)
-
-        def bad(p):
-            return np.array([np.inf, 0.0, 0.0]) if p[0] > 0.5 else np.zeros(3)
-
-        with pytest.raises(IntegrationError, match="node"):
-            integrate_vector(bad, rule)
-
-    def test_wrong_shape_rejected(self):
-        rule = build_rule(UNIT_BOX, 2)
-        with pytest.raises(IntegrationError, match="shape"):
-            integrate_vector(lambda p: np.zeros(2), rule)
 
 
 class TestRefineEstimate:
+    """Estimates refined along the order ladder base, base+2, ... of build_rule."""
+
     def test_polynomial_converges_immediately(self):
-        fn = lambda p: np.array([p[0] ** 2 * p[1], p[2], 1.0])
-        value, err = refine_estimate(fn, SYM_BOX, 4, 10)
-        assert err < 1e-13
+        fn = lambda p: np.stack([p[:, 0] ** 2 * p[:, 1], p[:, 2], np.ones(len(p))], axis=1)
+        _, changes = ladder(fn, SYM_BOX, range(4, 11, 2))
+        assert max(changes) < 1e-13
 
     def test_gaussian_ladder_monotone_after_first_step(self):
-        fn = lambda p: np.exp(-np.sum(p**2) / (2 * 0.3**2)) * np.array([1.0, 0.5, -0.2])
-        errs = []
-        prev = None
-        for order in range(4, 19, 2):
-            value = integrate_vector(fn, build_rule(SYM_BOX, order))
-            if prev is not None:
-                errs.append(np.max(np.abs(value - prev)))
-            prev = value
-        assert all(b < a for a, b in zip(errs[1:], errs[2:]))
+        fn = lambda p: np.exp(-np.sum(p**2, axis=1) / (2 * 0.3**2))[:, None] * np.array(
+            [1.0, 0.5, -0.2]
+        )
+        _, changes = ladder(fn, SYM_BOX, range(4, 19, 2))
+        assert all(b < a for a, b in zip(changes[1:], changes[2:]))
 
     def test_steep_kernel_converges_by_order_24(self):
         # 1/R^3-type integrand with the observation point one domain
         # diameter away from the ball
         ball = Ball(center=(0, 0, 0), radius=0.25)
         x = np.array([1.0, 0.0, 0.0])
-        fn = lambda p: (x - p) / np.linalg.norm(x - p) ** 3
-        value, err = refine_estimate(fn, ball, 4, 24, tol=1e-8)
-        assert err < 1e-8
+        fn = lambda p: (x - p) / np.linalg.norm(x - p, axis=1)[:, None] ** 3
+        values, changes = ladder(fn, ball, range(4, 25, 2))
+        assert changes[-1] < 1e-8
         # sanity: the same integrand via a dense rule
-        dense = integrate_vector(fn, build_rule(ball, 30))
-        np.testing.assert_allclose(value, dense, atol=1e-8)
+        dense = integrate(fn, build_rule(ball, 30))
+        np.testing.assert_allclose(values[-1], dense, atol=1e-8)
 
     def test_early_return_at_tolerance(self):
-        fn = lambda p: np.array([p[0], 0.0, 0.0])
-        value, err = refine_estimate(fn, SYM_BOX, 2, 30, tol=1e-10)
-        assert err <= 1e-10
-        np.testing.assert_allclose(value, 0.0, atol=1e-14)
-
-    def test_non_convergence_raises(self):
-        # singular point inside the domain: refinement cannot settle
-        ball = Ball(center=(0, 0, 0), radius=0.25)
-        inside = np.array([0.05, 0.02, -0.01])
-        fn = lambda p: (inside - p) / np.linalg.norm(inside - p) ** 3
-        with pytest.raises(ConvergenceError):
-            refine_estimate(fn, ball, 4, 40, tol=1e-12)
-
-    def test_rejects_bad_order_range(self):
-        with pytest.raises(ValueError, match="base order"):
-            refine_estimate(lambda p: np.zeros(3), SYM_BOX, 8, 8)
+        # odd integrand: the first step of the ladder is already within tol
+        fn = lambda p: np.stack([p[:, 0], np.zeros(len(p)), np.zeros(len(p))], axis=1)
+        values, changes = ladder(fn, SYM_BOX, (2, 4))
+        assert changes[0] <= 1e-10
+        np.testing.assert_allclose(values[-1], 0.0, atol=1e-14)

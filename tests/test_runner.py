@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from retfield import runner
 from retfield.cli import main
 from retfield.config import config_from_mapping, parse_config
 from retfield.runner import emit_waveform_csv, run_tasks
@@ -95,6 +96,23 @@ class TestRunTasks:
         assert (tmp_path / "serial/waveform_zones.csv").read_bytes() == (
             tmp_path / "pool/waveform_zones.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]
+    )
+    def test_each_representation_sampled_once(self, tmp_path, monkeypatch, tasks):
+        # both task pairs use zones and jefimenko; each is sampled once per run
+        calls = []
+        sample = runner.sample_waveforms
+
+        def counting(src, representation, *args, **kwargs):
+            calls.append(representation)
+            return sample(src, representation, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "sample_waveforms", counting)
+        report = run_tasks(quick_config(tasks=tasks), output_dir=tmp_path)
+        assert [t.status for t in report.tasks] == ["ok", "ok"]
+        assert calls == ["zones", "jefimenko"]
 
     def test_compare_reports_residuals(self, tmp_path):
         # coarse grid: this exercises the task plumbing, not physics precision
@@ -223,28 +241,23 @@ class TestEmitWaveformCsv:
     def test_refuses_empty_series(self, tmp_path):
         from retfield.analysis import WaveformSeries
 
-        with pytest.raises(ValueError):
-            series = WaveformSeries(
-                ray_origin=np.zeros(3),
-                ray_direction=np.array([1.0, 0, 0]),
-                radii=np.array([1.0]),
-                times=np.array([0.0, 1.0]),
-                samples=[[]],
-                component_axis=np.array([0.0, 0, 1.0]),
-                representation="zones",
+        grid = dict(
+            ray_origin=np.zeros(3),
+            ray_direction=np.array([1.0, 0, 0]),
+            component_axis=np.array([0.0, 0, 1.0]),
+            representation="zones",
+            terms=("near", "intermediate", "far"),
+        )
+        with pytest.raises(ValueError, match="shape"):
+            WaveformSeries(
+                radii=np.array([1.0]), times=np.array([0.0, 1.0]), fields=[[]], **grid
             )
-            emit_waveform_csv(
-                WaveformSeries(
-                    ray_origin=np.zeros(3),
-                    ray_direction=np.array([1.0, 0, 0]),
-                    radii=np.array([]),
-                    times=np.array([]),
-                    samples=[],
-                    component_axis=np.array([0.0, 0, 1.0]),
-                    representation="zones",
-                ),
-                tmp_path / "x.csv",
-            )
+        empty = WaveformSeries(
+            radii=np.array([]), times=np.array([]), fields=np.zeros((0, 0, 3, 3)), **grid
+        )
+        with pytest.raises(ValueError, match="empty"):
+            emit_waveform_csv(empty, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCli:
