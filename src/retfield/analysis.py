@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluators import EVALUATORS, ObservationPoint
+from .evaluators import KERNELS, block_height
 from .geometry import NATURAL, PhysicalConstants, Vec3, as_vec3
 from .quadrature import QuadratureRule
 from .sources import SourceModel
@@ -101,16 +101,17 @@ def sample_waveforms(
 ) -> WaveformSeries:
     """Evaluate one representation on the full (radius, time) grid.
 
-    Each cell's terms are written into one preallocated array as results
-    arrive, in (radius, time) order regardless of the worker count, so the
-    output is deterministic for a given build.  The array is read-only, so
-    one series can be shared by several consumers.
+    One kernel serves the whole grid.  Threads split the work by radius;
+    each radius is evaluated in blocks of ``block_height(len(rule))`` times
+    and every row comes out the same whatever the block or thread layout,
+    so the output is deterministic for a given build.  The array is
+    read-only, so one series can be shared by several consumers.
     """
     try:
-        evaluate = EVALUATORS[representation]
+        kernel_type = KERNELS[representation]
     except KeyError:
         raise ValueError(
-            f"unknown representation {representation!r}; expected one of {sorted(EVALUATORS)}"
+            f"unknown representation {representation!r}; expected one of {sorted(KERNELS)}"
         ) from None
     origin = as_vec3(ray_origin)
     direction = as_vec3(ray_direction)
@@ -122,33 +123,31 @@ def sample_waveforms(
     times = np.asarray(times, dtype=float)
     axis = src.polarization if component_axis is None else as_vec3(component_axis)
 
-    cells = [(i, j) for i in range(radii.size) for j in range(times.size)]
+    kernel = kernel_type(src, rule, constants)
+    height = block_height(len(rule))
+    fields = np.empty((radii.size, times.size, len(kernel.terms), 3))
 
-    def run(cell):
-        i, j = cell
-        obs = ObservationPoint(x=origin + radii[i] * direction, t=float(times[j]))
+    def run(i):
+        j = 0
         try:
-            return evaluate(src, obs, rule, constants)
+            geometry = kernel.at(origin + radii[i] * direction)
+            for j in range(0, times.size, height):
+                fields[i, j : j + height] = kernel.fields(geometry, times[j : j + height])
         except Exception as exc:
             raise RuntimeError(
                 f"field evaluation failed at r={radii[i]}, t={times[j]}: {exc}"
             ) from exc
 
-    terms, fields = (), np.empty((radii.size, times.size, 0, 3))
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        results = map(run, cells) if pool is None else pool.map(run, cells)
-        for (i, j), decomposition in zip(cells, results):
-            if i == j == 0:
-                terms = tuple(decomposition.terms)
-                fields = np.empty((radii.size, times.size, len(terms), 3))
-            fields[i, j] = tuple(decomposition.terms.values())
+        # list() drains the map so a worker's exception is raised here
+        list(map(run, range(radii.size)) if pool is None else pool.map(run, range(radii.size)))
     fields.flags.writeable = False
     return WaveformSeries(
         ray_origin=origin,
         ray_direction=direction,
         radii=radii,
         times=times,
-        terms=terms,
+        terms=kernel.terms,
         fields=fields,
         component_axis=axis,
         representation=representation,

@@ -30,7 +30,7 @@ from .analysis import (
     zone_scaling_fit,
 )
 from .config import RunConfig
-from .evaluators import EVALUATORS, ObservationPoint, RESIDUAL_FLOOR
+from .evaluators import EVALUATORS, RESIDUAL_FLOOR, ObservationPoint, block_height
 from .quadrature import build_rule
 
 _CSV_HEADER = (
@@ -66,6 +66,9 @@ class RunReport:
     config: dict[str, Any]
     output_directory: str = ""
     tasks: list[TaskReport] = field(default_factory=list)
+    #: Per sampled representation: seconds, cells, nodes, node_evals_per_s
+    #: and the time-block height of the batched engine.
+    profile: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def any_errors(self) -> bool:
         return any(task.status == "error" for task in self.tasks)
@@ -76,6 +79,7 @@ class RunReport:
             "config": self.config,
             "output_directory": self.output_directory,
             "tasks": [task.to_mapping() for task in self.tasks],
+            "profile": self.profile,
         }
 
 
@@ -300,7 +304,8 @@ def run_tasks(
     # series; each one is sampled at most once and shared by every task.
     @functools.cache
     def sample(representation: str) -> WaveformSeries:
-        return sample_waveforms(
+        start = time.perf_counter()
+        series = sample_waveforms(
             src,
             representation,
             config.ray_origin,
@@ -312,6 +317,16 @@ def run_tasks(
             component_axis=np.asarray(config.component_axis),
             threads=threads,
         )
+        seconds = time.perf_counter() - start
+        cells = series.radii.size * series.times.size
+        report.profile[representation] = {
+            "seconds": seconds,
+            "cells": cells,
+            "nodes": len(rule),
+            "node_evals_per_s": cells * len(rule) / seconds,
+            "block_height": block_height(len(rule)),
+        }
+        return series
 
     for name in config.tasks:
         task_report = TaskReport(name=name)

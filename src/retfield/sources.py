@@ -40,26 +40,32 @@ class SineSquaredPulse:
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError(f"pulse duration must be positive, got {self.tau}")
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        u = (t - self.t_on) / self.tau
+    def evaluate(self, t):
+        """Primitive F, value f and derivative f' at ``t``, as arrays.
+
+        The sines are taken only inside the support; outside it f and f'
+        are exactly +0.0 and F is 0.0 before the burst and tau/2 after.
+        """
+        u = (np.asarray(t, dtype=float) - self.t_on) / self.tau
         inside = (u > 0.0) & (u < 1.0)
-        return _scalarize(np.where(inside, np.sin(np.pi * u) ** 2, 0.0))
+        primitive = np.where(u >= 1.0, 0.5 * self.tau, 0.0)
+        value = np.zeros(u.shape)
+        rate = np.zeros(u.shape)
+        u_in = u[inside]
+        sin_2pu = np.sin(2.0 * np.pi * u_in)
+        primitive[inside] = self.tau * (0.5 * u_in - sin_2pu / (4.0 * np.pi))
+        value[inside] = np.sin(np.pi * u_in) ** 2
+        rate[inside] = np.pi / self.tau * sin_2pu
+        return primitive, value, rate
+
+    def value(self, t):
+        return _scalarize(self.evaluate(t)[1])
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        u = (t - self.t_on) / self.tau
-        inside = (u > 0.0) & (u < 1.0)
-        return _scalarize(
-            np.where(inside, np.pi / self.tau * np.sin(2.0 * np.pi * u), 0.0)
-        )
+        return _scalarize(self.evaluate(t)[2])
 
     def primitive(self, t):
-        t = np.asarray(t, dtype=float)
-        u = (t - self.t_on) / self.tau
-        ramp = self.tau * (0.5 * u - np.sin(2.0 * np.pi * u) / (4.0 * np.pi))
-        out = np.select([u <= 0.0, u >= 1.0], [0.0, 0.5 * self.tau], default=ramp)
-        return _scalarize(out)
+        return _scalarize(self.evaluate(t)[0])
 
 
 @dataclass(frozen=True)
@@ -86,26 +92,42 @@ class DifferentiatedGaussianPulse:
     def center(self) -> float:
         return self.t_on + 0.5 * self.tau
 
-    def _u(self, t):
+    def evaluate(self, t):
+        """Primitive F, value f and derivative f' at ``t``, as arrays.
+
+        One exponential serves all three; every entry outside the clipped
+        support is exactly +0.0.  This runs on every node at every sampled
+        time, so it works in place on flat temporaries (a 0-d ``t`` becomes
+        one element) and restores the shape of ``t`` at the end.
+        """
         t = np.asarray(t, dtype=float)
-        u = (t - self.center) / self.width
-        return u, np.abs(u) < _GAUSS_CLIP_SIGMAS
+        u = (t.ravel() - self.center) / self.width
+        outside = np.abs(u) >= _GAUSS_CLIP_SIGMAS
+        u2 = u * u
+        bump = np.exp(-0.5 * u2)
+        bump[outside] = 0.0
+        primitive = bump - math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2)
+        primitive *= self.width
+        primitive[outside] = 0.0
+        # Outside the support x * bump is -0.0 for x < 0; adding +0.0 makes
+        # it +0.0 and leaves every nonzero value as it is.
+        value = np.negative(u, out=u)
+        value *= bump
+        value += 0.0
+        rate = np.subtract(u2, 1.0, out=u2)
+        rate /= self.width
+        rate *= bump
+        rate += 0.0
+        return tuple(a.reshape(t.shape) for a in (primitive, value, rate))
 
     def value(self, t):
-        u, inside = self._u(t)
-        return _scalarize(np.where(inside, -u * np.exp(-0.5 * u * u), 0.0))
+        return _scalarize(self.evaluate(t)[1])
 
     def derivative(self, t):
-        u, inside = self._u(t)
-        return _scalarize(
-            np.where(inside, (u * u - 1.0) / self.width * np.exp(-0.5 * u * u), 0.0)
-        )
+        return _scalarize(self.evaluate(t)[2])
 
     def primitive(self, t):
-        u, inside = self._u(t)
-        tail = math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2)
-        ramp = self.width * (np.exp(-0.5 * u * u) - tail)
-        return _scalarize(np.where(inside, ramp, 0.0))
+        return _scalarize(self.evaluate(t)[0])
 
 
 TimeProfile = Union[SineSquaredPulse, DifferentiatedGaussianPulse]

@@ -1,0 +1,94 @@
+"""Frozen per-cell evaluators: the field formulas as they stood before the
+time-batched engine, kept as a regression oracle.
+
+Each call evaluates one observation point: it recomputes the node frame,
+the envelope and (for Jefimenko) the Hessian, and sums with ``np.sum`` and
+BLAS matrix-vector products.  The engine reorders those sums, so the two
+agree to rounding, not bit for bit.  The pulse formulas are frozen too, in
+``legacy_pulse``.  Do not edit these bodies to follow the package.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from retfield.sources import DifferentiatedGaussianPulse, SineSquaredPulse
+
+
+def legacy_pulse(profile, t):
+    """(primitive, value, derivative) by the pre-fusion per-method formulas."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(profile, SineSquaredPulse):
+        u = (t - profile.t_on) / profile.tau
+        inside = (u > 0.0) & (u < 1.0)
+        value = np.where(inside, np.sin(np.pi * u) ** 2, 0.0)
+        rate = np.where(inside, np.pi / profile.tau * np.sin(2.0 * np.pi * u), 0.0)
+        ramp = profile.tau * (0.5 * u - np.sin(2.0 * np.pi * u) / (4.0 * np.pi))
+        primitive = np.select([u <= 0.0, u >= 1.0], [0.0, 0.5 * profile.tau], default=ramp)
+        return primitive, value, rate
+    assert isinstance(profile, DifferentiatedGaussianPulse)
+    u = (t - profile.center) / profile.width
+    inside = np.abs(u) < 8.0
+    value = np.where(inside, -u * np.exp(-0.5 * u * u), 0.0)
+    rate = np.where(inside, (u * u - 1.0) / profile.width * np.exp(-0.5 * u * u), 0.0)
+    tail = math.exp(-0.5 * 8.0**2)
+    primitive = np.where(inside, profile.width * (np.exp(-0.5 * u * u) - tail), 0.0)
+    return primitive, value, rate
+
+
+def _node_frame(x, t, rule, c):
+    d = x - rule.nodes
+    r = np.linalg.norm(d, axis=1)
+    theta = d / r[:, None]
+    t_ret = t - r / c
+    return r, theta, t_ret
+
+
+def legacy_zone_field(src, x, t, rule, constants):
+    """(near, intermediate, far) at one point."""
+    c, k_c = constants.c, constants.coulomb
+    r, theta, t_ret = _node_frame(x, t, rule, c)
+    w = rule.weights
+    pol = src.polarization
+    primitive, value, rate = legacy_pulse(src.profile, t_ret)
+
+    g = src.amplitude * np.asarray(src.envelope.value(rule.nodes))
+    g_prim = g * primitive
+    g_val = g * value
+    g_rate = g * rate
+    theta_pol = theta @ pol
+
+    near = -k_c * (
+        pol * np.sum(w * g_prim / r**3) - 3.0 * (theta.T @ (w * g_prim * theta_pol / r**3))
+    )
+    intermediate = -(k_c / c) * (
+        pol * np.sum(w * g_val / r**2) - 3.0 * (theta.T @ (w * g_val * theta_pol / r**2))
+    )
+    far = (k_c / c**2) * (
+        theta.T @ (w * g_rate * theta_pol / r) - pol * np.sum(w * g_rate / r)
+    )
+    return np.array([near, intermediate, far])
+
+
+def legacy_jefimenko_field(src, x, t, rule, constants, fd_step=None):
+    """(current, charge) at one point; central differences when ``fd_step``."""
+    c, k_c = constants.c, constants.coulomb
+    r, _, t_ret = _node_frame(x, t, rule, c)
+    w = rule.weights
+    pol = src.polarization
+    g = src.amplitude * np.asarray(src.envelope.value(rule.nodes))
+
+    if fd_step is None:
+        g_rate = g * legacy_pulse(src.profile, t_ret)[2]
+        current = -(k_c / c**2) * pol * np.sum(w * g_rate / r)
+    else:
+        hi = np.sum(w * g * legacy_pulse(src.profile, t_ret + fd_step)[1] / r)
+        lo = np.sum(w * g * legacy_pulse(src.profile, t_ret - fd_step)[1] / r)
+        current = -(k_c / c**2) * pol * (hi - lo) / (2.0 * fd_step)
+
+    hess = src.envelope.hessian(rule.nodes)
+    grad_rho = -src.amplitude * legacy_pulse(src.profile, t_ret)[0][:, None] * (hess @ pol)
+    charge = -k_c * (grad_rho.T @ (w / r))
+    return np.array([current, charge])

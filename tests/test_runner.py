@@ -7,6 +7,8 @@ import pytest
 from retfield import runner
 from retfield.cli import main
 from retfield.config import config_from_mapping, parse_config
+from retfield.evaluators import block_height
+from retfield.quadrature import build_rule
 from retfield.runner import emit_waveform_csv, run_tasks
 
 QUICK = """
@@ -91,11 +93,28 @@ class TestRunTasks:
         ).read_bytes()
 
     def test_thread_count_is_byte_identical(self, tmp_path):
-        run_tasks(quick_config(), output_dir=tmp_path / "serial", threads=1)
-        run_tasks(quick_config(), output_dir=tmp_path / "pool", threads=4)
-        assert (tmp_path / "serial/waveform_zones.csv").read_bytes() == (
-            tmp_path / "pool/waveform_zones.csv"
-        ).read_bytes()
+        for threads in (1, 2, 4):
+            run_tasks(quick_config(tasks="compare"), output_dir=tmp_path / str(threads), threads=threads)
+        for name in ("waveform_zones.csv", "waveform_jefimenko.csv"):
+            serial = (tmp_path / "1" / name).read_bytes()
+            assert (tmp_path / "2" / name).read_bytes() == serial
+            assert (tmp_path / "4" / name).read_bytes() == serial
+
+    def test_report_profiles_each_sampling(self, tmp_path):
+        config = quick_config(tasks="compare")
+        run_tasks(config, output_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        order = report["tasks"][0]["details"]["quadrature"]["order"]
+        nodes = len(build_rule(config.build_source().domain, order))
+        profile = report["profile"]
+        assert sorted(profile) == ["jefimenko", "zones"]
+        for entry in profile.values():
+            assert entry["cells"] == 3 * 9
+            assert entry["nodes"] == nodes
+            assert entry["cells"] * entry["nodes"] / entry["seconds"] == pytest.approx(
+                entry["node_evals_per_s"]
+            )
+            assert entry["block_height"] == block_height(nodes)
 
     @pytest.mark.parametrize(
         "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]

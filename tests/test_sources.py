@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from legacy_fields import legacy_pulse
 
 from retfield.domains import Ball, Box
 from retfield.quadrature import build_rule
@@ -113,6 +114,51 @@ class TestDifferentiatedGaussianPulse:
         h = 1e-6
         fd = (self.p.value(t + h) - self.p.value(t - h)) / (2 * h)
         np.testing.assert_allclose(fd, self.p.derivative(t), rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "pulse",
+    [SineSquaredPulse(t_on=1.0, tau=4.0), DifferentiatedGaussianPulse(t_on=1.0, tau=4.0)],
+    ids=["sine-squared", "differentiated-gaussian"],
+)
+class TestFusedEvaluation:
+    """``evaluate`` returns (primitive, value, derivative) in one pass."""
+
+    def grid(self, pulse):
+        # the clipped Gaussian's clip edges are the support edges t_on, t_on + tau
+        edges = [pulse.t_on, pulse.t_on + pulse.tau]
+        beside = [np.nextafter(e, side) for e in edges for side in (-np.inf, np.inf)]
+        inner = list(pulse.t_on + pulse.tau * np.array([0.1, 0.25, 0.45, 0.8]))
+        return np.array(sorted([-7.0, 0.5, 5.5, 40.0, *edges, *beside, *inner]))
+
+    def test_projections_are_the_single_methods(self, pulse):
+        t = self.grid(pulse)
+        fused = pulse.evaluate(t)
+        singles = (pulse.primitive(t), pulse.value(t), pulse.derivative(t))
+        for a, b in zip(fused, singles):
+            assert a.tobytes() == b.tobytes()
+        for k, tk in enumerate(t):
+            assert pulse.value(tk) == fused[1][k] and isinstance(pulse.value(tk), float)
+        grid = pulse.evaluate(t.reshape(2, -1))
+        assert all(a.shape == (2, t.size // 2) for a in grid)
+        assert all(np.array_equal(a.ravel(), b) for a, b in zip(grid, fused))
+
+    def test_matches_unfused_formulas(self, pulse):
+        t = self.grid(pulse)
+        for fused, unfused in zip(pulse.evaluate(t), legacy_pulse(pulse, t)):
+            np.testing.assert_array_equal(fused, unfused)
+
+    def test_positive_zero_outside_support(self, pulse):
+        t = self.grid(pulse)
+        primitive, value, rate = pulse.evaluate(t)
+        before, after = t <= pulse.t_on, t >= pulse.t_on + pulse.tau
+        assert before.sum() >= 3 and after.sum() >= 3
+        for a in (value[before | after], rate[before | after], primitive[before]):
+            assert np.all(a == 0.0) and not np.any(np.signbit(a))
+        settled = 0.5 * pulse.tau if isinstance(pulse, SineSquaredPulse) else 0.0
+        assert np.all(primitive[after] == settled) and not np.any(np.signbit(primitive[after]))
+        inside = ~(before | after)
+        assert np.all(value[inside] != 0.0)
 
 
 class TestEnvelopes:
