@@ -37,8 +37,6 @@ from .geometry import (
     PhysicalConstants,
     double_gradient_kernel,
     far_kernel,
-    retarded_time,
-    unit_direction,
 )
 from .quadrature import ConvergenceError, QuadratureRule, build_rule
 from .sources import (
@@ -88,9 +86,7 @@ __all__ = [
     "make_profile",
     "refined_field",
     "representation_residual",
-    "retarded_time",
     "sample_waveforms",
-    "unit_direction",
     "zone_field",
     "zone_scaling_fit",
 ]

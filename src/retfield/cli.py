@@ -1,8 +1,9 @@
 """Command line front-end: ``retfield run CONFIG [options]``.
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 when a
-task could not be executed (numeric or I/O failure).  A physics check that
-merely reports "failed" in the run report does not change the exit code.
+task could not be executed (numeric or I/O failure) or the quadrature
+calibration stalled.  A physics check that merely reports "failed" in the
+run report does not change the exit code.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ electric field as a sum of named terms:
 * ``jefimenko_field`` -- retarded current and charge form ("current",
   "charge").  The outer time derivative is commuted through the spatial
   integral onto the current, which is exact because time enters only via
-  the retarded time and the domain is fixed; a finite-difference mode of
-  the uncommuted form is kept for validating that step.
+  the retarded time and the domain is fixed.
 
 The two agree up to boundary terms that vanish when the current dies off
 fast enough at the domain boundary; ``representation_residual`` measures
-the disagreement.
+the disagreement.  ``refined_field`` is the one order-refinement ladder: it
+climbs quadrature orders at one observation point until the field settles,
+and raises ConvergenceError when it stalls instead.
 
 Both run on one time-batched engine.  A kernel (``ZoneKernel``,
 ``JefimenkoKernel``) computes the node factors that depend only on the
@@ -162,31 +163,17 @@ class ZoneKernel:
 class JefimenkoKernel:
     """Retarded current and charge form ("current", "charge").
 
-    ``dt_mode="finite-difference"`` differentiates the assembled current
-    integral in t with a central step ``fd_step`` instead of using the
-    commuted analytic derivative; it exists to validate the commutation.
-    Per sampling the kernel holds the weighted envelope w*A*g and the
-    weighted charge gradient per unit F(t), -w*A*(H . p_hat).
+    The time derivative of the current integral is taken analytically on
+    the pulse, under the integral.  Per sampling the kernel holds the
+    weighted envelope w*A*g and the weighted charge gradient per unit F(t),
+    -w*A*(H . p_hat).
     """
 
     representation = "jefimenko"
     terms = ("current", "charge")
 
-    def __init__(
-        self,
-        src: SourceModel,
-        rule: QuadratureRule,
-        constants=NATURAL,
-        dt_mode: str = "analytic",
-        fd_step: float | None = None,
-    ):
-        if dt_mode == "finite-difference":
-            if fd_step is None or not fd_step > 0.0:
-                raise ValueError("finite-difference mode requires a positive fd_step")
-        elif dt_mode != "analytic":
-            raise ValueError(f"unknown dt_mode {dt_mode!r}")
+    def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
         self.src, self.rule, self.constants = src, rule, constants
-        self.fd_step = fd_step if dt_mode == "finite-difference" else None
         self.weighted = _weighted_envelope(src, rule)
         hessian_pol = src.envelope.hessian(rule.nodes) @ src.polarization
         self.charge_weights = rule.weights[:, None] * (-src.amplitude * hessian_pol)
@@ -204,17 +191,9 @@ class JefimenkoKernel:
         delays, (current_cols, charge_cols) = geometry
         c, k_c = self.constants.c, self.constants.coulomb
         pol = self.src.polarization
-        t_ret = times[:, None] - delays
-        primitive, _, rate = self.src.profile.evaluate(t_ret)
-        if self.fd_step is None:
-            d_current = _reduce(rate, current_cols)
-        else:
-            h = self.fd_step
-            hi = _reduce(self.src.profile.evaluate(t_ret + h)[1], current_cols)
-            lo = _reduce(self.src.profile.evaluate(t_ret - h)[1], current_cols)
-            d_current = (hi - lo) / (2.0 * h)
+        primitive, _, rate = self.src.profile.evaluate(times[:, None] - delays)
         out = np.empty((times.size, 2, 3))
-        out[:, 0] = -(k_c / c**2) * pol * d_current
+        out[:, 0] = -(k_c / c**2) * pol * _reduce(rate, current_cols)
         out[:, 1] = -k_c * _reduce(primitive, charge_cols)
         return out
 
@@ -241,11 +220,9 @@ def jefimenko_field(
     obs: ObservationPoint,
     rule: QuadratureRule,
     constants: PhysicalConstants = NATURAL,
-    dt_mode: str = "analytic",
-    fd_step: float | None = None,
 ) -> FieldDecomposition:
     """Field from retarded current and charge densities (see JefimenkoKernel)."""
-    return _field_at(JefimenkoKernel(src, rule, constants, dt_mode, fd_step), obs)
+    return _field_at(JefimenkoKernel(src, rule, constants), obs)
 
 
 #: Evaluator registry keyed by representation tag: one observation point...
@@ -353,7 +330,9 @@ def refined_field(
     Climbs orders base, base+2, ... until the total changes by at most
     ``tol`` (max norm) or the ladder tops out; the achieved change is
     attached as the decomposition's quadrature error.  A ladder whose
-    error grows three levels in a row raises ConvergenceError.
+    error grows three levels in a row raises ConvergenceError.  Rules are
+    looked up in and added to ``rule_cache`` when given; a cache passed in
+    empty ends with the order the ladder stopped at as its highest key.
     """
     try:
         evaluate = EVALUATORS[representation]

@@ -1,8 +1,11 @@
-"""Geometric kernels shared by both field representations.
+"""Unit systems and the closed-form kernels of the zone representation.
 
-Everything here is a pure function of observation point ``x`` and source
-point ``xp``.  Inputs broadcast: pass shape ``(3,)`` for a single pair or
-``(..., 3)`` stacks for many pairs at once.
+``double_gradient_kernel`` and ``far_kernel`` are the near- and far-zone
+kernels written as matrices.  The engine in ``evaluators`` applies them to
+the polarization through the identity (I - 3 theta theta^T) v =
+v - 3 theta (theta . v) instead of building them; its tests check the two
+against each other.  Inputs broadcast: pass shape ``(3,)`` for a single
+pair or ``(..., 3)`` stacks for many pairs at once.
 """
 
 from __future__ import annotations
@@ -49,38 +52,20 @@ def as_vec3(v) -> Vec3:
     return out
 
 
-def _separation(x, xp):
-    """Return (d, R) with d = x - xp and R = |d|; rejects coincident points."""
-    d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("observation point coincides with a source point")
-    return d, r
-
-
-def retarded_time(x, xp, t, constants: PhysicalConstants = NATURAL):
-    """Emission time t - |x - xp|/c whose influence arrives at (x, t)."""
-    _, r = _separation(x, xp)
-    return t - r / constants.c
-
-
-def unit_direction(x, xp) -> Vec3:
-    """Unit vector from the source point xp toward the observation point x."""
-    d, r = _separation(x, xp)
-    return d / r[..., None]
-
-
 def double_gradient_kernel(x, xp) -> np.ndarray:
     """Mixed second derivative matrix of 1/|x - xp|.
 
     Returns (delta_kn - 3*theta_k*theta_n)/R^3, symmetric and traceless.
-    Shape is (..., 3, 3) for broadcast inputs.
+    Shape is (..., 3, 3) for broadcast inputs; coincident points are an
+    error.
     """
-    d, r = _separation(x, xp)
+    d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0.0):
+        raise ValueError("observation point coincides with a source point")
     theta = d / r[..., None]
     outer = theta[..., :, None] * theta[..., None, :]
-    eye = np.eye(3)
-    return (eye - 3.0 * outer) / (r**3)[..., None, None]
+    return (np.eye(3) - 3.0 * outer) / (r**3)[..., None, None]
 
 
 def far_kernel(theta) -> np.ndarray:

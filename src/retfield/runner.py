@@ -1,5 +1,6 @@
 """Task execution and artifact emission for configured runs.
 
+A run first calibrates one quadrature rule on ``refined_field``'s ladder.
 Each task takes the series it needs from a per-run memo, which samples each
 representation at most once, writes its artifacts, and contributes an entry
 to the run report.  Grid evaluation may fan out over a thread pool; results
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +32,9 @@ from .analysis import (
     zone_scaling_fit,
 )
 from .config import RunConfig
-from .evaluators import EVALUATORS, RESIDUAL_FLOOR, ObservationPoint, block_height
-from .quadrature import build_rule
+from .evaluators import RESIDUAL_FLOOR, ObservationPoint, block_height, refined_field
+
+logger = logging.getLogger(__name__)
 
 _CSV_HEADER = (
     "r,t,Ex,Ey,Ez,term1x,term1y,term1z,term2x,term2y,term2z,"
@@ -127,36 +130,41 @@ def emit_velocity_csv(profile, path: Path | str) -> Path:
     return path
 
 
-def _calibrated_rule(src, config: RunConfig, constants):
-    """Pick the working quadrature order by refining at a probe point.
+def _calibrate(src, config: RunConfig, constants):
+    """Pick the working quadrature rule on the refinement ladder.
 
     The probe sits at the closest radius (most demanding kernel) at a time
-    when the pulse is in full swing there; the ladder stops once the total
-    field changes by less than the configured tolerance.
+    when the pulse is in full swing there.  Returns the rule of the order
+    the ladder stopped at and the report's quadrature details; a missed
+    tolerance is logged, a stalled ladder raises ConvergenceError.
     """
-    origin = np.asarray(config.ray_origin)
-    direction = np.asarray(config.ray_direction)
-    point = origin + min(config.radii) * direction
+    point = np.asarray(config.ray_origin) + min(config.radii) * np.asarray(config.ray_direction)
     t_probe = (
         config.t_on
         + src.domain.exterior_distance(point) / constants.c
         + 0.5 * config.tau
     )
-    obs = ObservationPoint(x=point, t=t_probe)
-    evaluate = EVALUATORS[config.representation]
-
-    previous = None
-    err = float("inf")
-    rule = None
-    for order in range(config.base_order, config.max_order + 1, 2):
-        rule = build_rule(src.domain, order)
-        total = evaluate(src, obs, rule, constants).total
-        if previous is not None:
-            err = float(np.max(np.abs(total - previous)))
-            if err <= config.tol:
-                break
-        previous = total
-    return rule, err
+    rules = {}
+    error = refined_field(
+        config.representation,
+        src,
+        ObservationPoint(x=point, t=t_probe),
+        constants,
+        config.base_order,
+        config.max_order,
+        config.tol,
+        rule_cache=rules,
+    ).quadrature_error
+    rule = rules[max(rules)]
+    met = error <= config.tol
+    if not met:
+        logger.warning(
+            "quadrature order %d misses tol %g at the calibration probe: error estimate %.3g",
+            rule.order,
+            config.tol,
+            error,
+        )
+    return rule, {"order": rule.order, "error_estimate": error, "tol": config.tol, "met": met}
 
 
 def _task_decompose(src, config, constants, sample, outdir, fmts) -> TaskReport:
@@ -286,7 +294,8 @@ def run_tasks(
 
     Returns the report; it is also written as report.json when the json
     format is enabled.  Task exceptions are captured per task (status
-    "error") rather than aborting the remaining tasks.
+    "error") rather than aborting the remaining tasks; a calibration that
+    stalls raises ConvergenceError before any task runs.
     """
     outdir = Path(output_dir) if output_dir is not None else Path(config.output_directory)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -295,10 +304,9 @@ def run_tasks(
     report = RunReport(config=config.to_mapping(), output_directory=str(outdir))
     fmts = config.output_formats
 
-    rule = None
-    calibration_error = None
+    rule = quadrature = None
     if config.tasks:
-        rule, calibration_error = _calibrated_rule(src, config, constants)
+        rule, quadrature = _calibrate(src, config, constants)
 
     # A run has one rule and one grid, so the representation alone keys a
     # series; each one is sampled at most once and shared by every task.
@@ -337,10 +345,7 @@ def run_tasks(
             task_report.status = "error"
             task_report.details = {"error": f"{type(exc).__name__}: {exc}"}
         task_report.seconds = time.perf_counter() - start
-        task_report.details.setdefault("quadrature", {
-            "order": rule.order,
-            "error_estimate": calibration_error,
-        })
+        task_report.details.setdefault("quadrature", dict(quadrature))
         report.tasks.append(task_report)
 
     if "json" in fmts:

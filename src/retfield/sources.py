@@ -24,6 +24,10 @@ from .geometry import Vec3, as_vec3
 # The clipped pulse treats the Gaussian as supported on +/- this many widths.
 _GAUSS_CLIP_SIGMAS = 8.0
 
+# A point up to this many epsilons of |center| + cut_radius outside the cut
+# sphere counts as on it; points computed on the sphere land up to ~1.3 out.
+_CUT_SLACK_EPS = 8.0
+
 
 def _scalarize(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
@@ -207,8 +211,11 @@ class TruncatedGaussianEnvelope:
         return GaussianEnvelope(self.center, self.sigma)
 
     def _mask(self, points):
+        """Inside or on the cut sphere, up to rounding in the coordinates."""
         d = np.asarray(points, dtype=float) - self.center
-        return np.sum(d * d, axis=-1) <= self.cut_radius**2
+        scale = np.max(np.abs(self.center)) + self.cut_radius
+        reach = self.cut_radius + _CUT_SLACK_EPS * np.finfo(float).eps * scale
+        return np.sum(d * d, axis=-1) <= reach**2
 
     def value(self, points):
         v = np.asarray(self._smooth().value(points))

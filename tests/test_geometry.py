@@ -1,18 +1,52 @@
+"""Unit systems and kernel matrices of ``geometry``, and the retarded times
+and directions the engine computes per node (``retfield.geometry`` holds no
+copy of those)."""
+
 import numpy as np
 import pytest
 
+from retfield.domains import Ball
+from retfield.evaluators import ZoneKernel, _frame
 from retfield.geometry import (
     NATURAL,
     PhysicalConstants,
     double_gradient_kernel,
     far_kernel,
-    retarded_time,
-    unit_direction,
 )
+from retfield.quadrature import QuadratureRule
+from retfield.sources import GaussianEnvelope, SineSquaredPulse, SourceModel
 
 
 def random_points(rng, n, spread=3.0):
     return rng.uniform(-spread, spread, size=(n, 3))
+
+
+def one_node(xp):
+    """A source and a one-node rule at ``xp``, for the engine's node frame."""
+    xp = np.asarray(xp, dtype=float)
+    domain = Ball(center=xp, radius=1e-9)
+    rule = QuadratureRule(nodes=xp[None, :], weights=np.ones(1), order=1, domain=domain)
+    src = SourceModel(
+        envelope=GaussianEnvelope(center=xp, sigma=1.0),
+        profile=SineSquaredPulse(t_on=0.0, tau=1.0),
+        polarization=(0, 0, 1),
+        amplitude=1.0,
+        domain=domain,
+    )
+    return src, rule
+
+
+def retarded_time(x, xp, t, constants=NATURAL):
+    """t - R/c from the engine's per-point delays."""
+    src, rule = one_node(xp)
+    delays, _ = ZoneKernel(src, rule, constants).at(np.asarray(x, dtype=float))
+    return t - delays[0]
+
+
+def unit_direction(x, xp):
+    """The engine's unit vector from the node at ``xp`` toward ``x``."""
+    src, rule = one_node(xp)
+    return _frame(src, rule, np.asarray(x, dtype=float))[1][0]
 
 
 class TestRetardedTime:
@@ -32,7 +66,7 @@ class TestRetardedTime:
         assert retarded_time((4, 0, 0), (0, 0, 0), 5.0, fast) == pytest.approx(3.0)
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError, match="coincide"):
+        with pytest.raises(ValueError, match="inside or touching"):
             retarded_time((1, 1, 1), (1, 1, 1), 0.0)
 
 

@@ -1,14 +1,15 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from retfield import runner
+from retfield import evaluators, runner
 from retfield.cli import main
 from retfield.config import config_from_mapping, parse_config
-from retfield.evaluators import block_height
-from retfield.quadrature import build_rule
+from retfield.evaluators import FieldDecomposition, block_height
+from retfield.quadrature import ConvergenceError, build_rule
 from retfield.runner import emit_waveform_csv, run_tasks
 
 QUICK = """
@@ -42,6 +43,13 @@ CSV_HEADER = (
 
 def quick_config(tasks="decompose", extra=""):
     return parse_config(QUICK.replace("tasks = decompose", f"tasks = {tasks}") + extra)
+
+
+def diverging_zones(src, obs, rule, constants):
+    """Stand-in zones evaluator whose field moves more at every order."""
+    return FieldDecomposition(
+        terms={"near": np.array([rule.order**2, 0.0, 0.0])}, representation="zones"
+    )
 
 
 class TestRunTasks:
@@ -216,6 +224,36 @@ tasks = scaling
         assert exponents["far"] == pytest.approx(-1.0, abs=0.05)
         assert (tmp_path / "scaling.csv").exists()
 
+    def test_calibration_reports_tolerance(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="retfield.runner"):
+            report = run_tasks(quick_config(), output_dir=tmp_path)
+        quadrature = report.tasks[0].details["quadrature"]
+        assert quadrature["tol"] == 1e-8
+        assert quadrature["met"] is True
+        assert quadrature["error_estimate"] <= 1e-8
+        assert caplog.records == []
+
+    def test_missed_tolerance_is_reported_and_logged(self, tmp_path, caplog):
+        # no step of the short ladder 8 -> 10 -> 12 gets below 1e-30
+        text = QUICK.replace("max_order = 16", "max_order = 12")
+        text = text.replace("tol = 1e-8", "tol = 1e-30")
+        with caplog.at_level(logging.WARNING, logger="retfield.runner"):
+            report = run_tasks(parse_config(text), output_dir=tmp_path)
+        quadrature = report.tasks[0].details["quadrature"]
+        assert quadrature["order"] == 12
+        assert quadrature["met"] is False
+        assert quadrature["tol"] == 1e-30
+        assert quadrature["error_estimate"] > 1e-30
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "misses tol 1e-30" in caplog.text
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["tasks"][0]["details"]["quadrature"]["met"] is False
+
+    def test_stalled_calibration_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(evaluators.EVALUATORS, "zones", diverging_zones)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            run_tasks(quick_config(), output_dir=tmp_path)
+
     def test_task_error_is_captured_not_raised(self, tmp_path):
         # scaling cannot run: the time grid ends before the field settles
         text = """
@@ -334,6 +372,13 @@ tasks = scaling
         path = self.write(tmp_path, text)
         code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
         assert code == 2
+
+    def test_stalled_calibration_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(evaluators.EVALUATORS, "zones", diverging_zones)
+        path = self.write(tmp_path)
+        code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "ConvergenceError: field refinement stalled" in capsys.readouterr().err
 
     def test_bad_thread_count(self, tmp_path, capsys):
         path = self.write(tmp_path)

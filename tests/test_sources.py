@@ -213,6 +213,19 @@ class TestEnvelopes:
         p = (0.3, 0.2, -0.4)
         assert env.value(p) == smooth.value(p)
 
+    @pytest.mark.parametrize(
+        "center, radius", [((0.0, 0.0, 0.0), 0.1), ((3.1, -2.7, 1.9), 0.37)]
+    )
+    def test_truncated_cut_sphere_counts_as_inside(self, center, radius):
+        # points generated on the sphere land up to a few ulps outside it
+        env = TruncatedGaussianEnvelope(center=center, sigma=0.3, cut_radius=radius)
+        on_sphere = Ball(center=center, radius=radius).boundary_points()
+        smooth = GaussianEnvelope(center=center, sigma=0.3)
+        np.testing.assert_array_equal(env.value(on_sphere), smooth.value(on_sphere))
+        outside = env.center + (1.0 + 1e-9) * (on_sphere - env.center)
+        assert not np.any(env.value(outside))
+        assert not np.any(env.hessian(outside))
+
     def test_truncated_integral_approaches_full(self):
         full = GaussianEnvelope(center=(0, 0, 0), sigma=0.5)
         cut = TruncatedGaussianEnvelope(center=(0, 0, 0), sigma=0.5, cut_radius=5.0)
