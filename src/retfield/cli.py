@@ -4,16 +4,23 @@ Exit codes: 0 on success, 1 for usage or configuration errors, 2 when a
 task could not be executed (numeric or I/O failure) or the quadrature
 calibration stalled.  A physics check that merely reports "failed" in the
 run report does not change the exit code.
+
+While ``main`` runs, config warnings and the ``retfield`` logger's warnings
+print to stderr as ``retfield: warning: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .runner import run_tasks
+
+# Named explicitly: under ``python -m retfield.cli`` this module is __main__.
+_log = logging.getLogger("retfield")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("retfield: warning: %(message)s"))
+    _log.addHandler(handler)
+    try:
+        return _main(argv)
+    finally:
+        _log.removeHandler(handler)
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
@@ -64,7 +82,7 @@ def main(argv=None) -> int:
         return 1
 
     for warning in config.warnings:
-        print(f"retfield: warning: {warning}", file=sys.stderr)
+        _log.warning("%s", warning)
     if args.threads < 1:
         print("retfield: --threads must be >= 1", file=sys.stderr)
         return 1

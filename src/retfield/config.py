@@ -1,9 +1,12 @@
 """Declarative run configuration.
 
 Configs are INI documents (``configparser`` syntax): one section per block,
-whitespace-separated numbers for vectors and grids.  ``parse_config``
-materializes every default and validates the result, so the echoed mapping
-in a run report always re-parses to an equivalent configuration.
+whitespace-separated numbers for vectors and grids.  INI text
+(``parse_config``) and the mapping echoed in a run report
+(``config_from_mapping``) take one path to a ``RunConfig``: it materializes
+every default and validates the result, so the echo always re-parses to an
+equivalent configuration.  ``_KEYS`` names each section, key and field once;
+it drives both the schema check and the echo.  Every number must be finite.
 
 Sections and keys (defaults in parentheses):
 
@@ -30,13 +33,13 @@ Sections and keys (defaults in parentheses):
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .domains import Ball, Box, Domain
-from .evaluators import EXTERIOR_MARGIN_FRACTION, EVALUATORS
+from .domains import Ball, Box, Domain, strictly_outside
+from .evaluators import EVALUATORS
 from .geometry import PhysicalConstants
 from .sources import SourceModel, make_envelope, make_profile
 
@@ -45,26 +48,30 @@ TASKS = ("decompose", "compare", "frontcheck", "velocity", "scaling")
 #: Time-grid resolution rule for velocity runs: dt <= tau / this.
 VELOCITY_RESOLUTION_FACTOR = 50.0
 
-_SCHEMA = {
-    "constants": {"c", "coulomb"},
+#: Section -> key -> RunConfig field, in the order of the report echo.
+_KEYS = {
+    "constants": {"c": "c", "coulomb": "coulomb"},
     "source": {
-        "envelope",
-        "sigma",
-        "center",
-        "cut_radius",
-        "polarization",
-        "amplitude",
-        "domain",
-        "domain_center",
-        "domain_radius",
-        "domain_lo",
-        "domain_hi",
+        "envelope": "envelope_kind",
+        "sigma": "sigma",
+        "center": "center",
+        "cut_radius": "cut_radius",
+        "polarization": "polarization",
+        "amplitude": "amplitude",
+        "domain": "domain_kind",
+        "domain_center": "domain_center",
+        "domain_radius": "domain_radius",
+        "domain_lo": "domain_lo",
+        "domain_hi": "domain_hi",
     },
-    "pulse": {"kind", "t_on", "tau"},
-    "observation": {"ray_origin", "ray_direction", "radii", "times", "component_axis"},
-    "quadrature": {"base_order", "max_order", "tol"},
-    "run": {"tasks", "representation", "feature", "window"},
-    "output": {"directory", "formats"},
+    "pulse": {"kind": "pulse_kind", "t_on": "t_on", "tau": "tau"},
+    "observation": {
+        key: key
+        for key in ("ray_origin", "ray_direction", "radii", "times", "component_axis")
+    },
+    "quadrature": {key: key for key in ("base_order", "max_order", "tol")},
+    "run": {key: key for key in ("tasks", "representation", "feature", "window")},
+    "output": {"directory": "output_directory", "formats": "output_formats"},
 }
 
 
@@ -112,9 +119,10 @@ class RunConfig:
         return PhysicalConstants(c=self.c, coulomb=self.coulomb)
 
     def build_domain(self) -> Domain:
-        if self.domain_kind == "ball":
-            return Ball(center=self.domain_center, radius=self.domain_radius)
-        return Box(lo=self.domain_lo, hi=self.domain_hi)
+        return _build_domain(
+            self.domain_kind, self.domain_center, self.domain_radius,
+            self.domain_lo, self.domain_hi,
+        )
 
     def build_source(self) -> SourceModel:
         return SourceModel(
@@ -130,46 +138,17 @@ class RunConfig:
     def to_mapping(self) -> dict[str, Any]:
         """Nested-section echo of the config; JSON-serializable."""
         return {
-            "constants": {"c": self.c, "coulomb": self.coulomb},
-            "source": {
-                "envelope": self.envelope_kind,
-                "sigma": self.sigma,
-                "center": list(self.center),
-                "cut_radius": self.cut_radius,
-                "polarization": list(self.polarization),
-                "amplitude": self.amplitude,
-                "domain": self.domain_kind,
-                "domain_center": None
-                if self.domain_center is None
-                else list(self.domain_center),
-                "domain_radius": self.domain_radius,
-                "domain_lo": None if self.domain_lo is None else list(self.domain_lo),
-                "domain_hi": None if self.domain_hi is None else list(self.domain_hi),
-            },
-            "pulse": {"kind": self.pulse_kind, "t_on": self.t_on, "tau": self.tau},
-            "observation": {
-                "ray_origin": list(self.ray_origin),
-                "ray_direction": list(self.ray_direction),
-                "radii": list(self.radii),
-                "times": list(self.times),
-                "component_axis": list(self.component_axis),
-            },
-            "quadrature": {
-                "base_order": self.base_order,
-                "max_order": self.max_order,
-                "tol": self.tol,
-            },
-            "run": {
-                "tasks": list(self.tasks),
-                "representation": self.representation,
-                "feature": self.feature,
-                "window": None if self.window is None else list(self.window),
-            },
-            "output": {
-                "directory": self.output_directory,
-                "formats": list(self.output_formats),
-            },
+            section: {key: _echo(getattr(self, name)) for key, name in keys.items()}
+            for section, keys in _KEYS.items()
         }
+
+
+def _echo(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _build_domain(kind, center, radius, lo, hi) -> Domain:
+    return Ball(center=center, radius=radius) if kind == "ball" else Box(lo=lo, hi=hi)
 
 
 def _fail(section: str, key: str, message: str) -> ConfigError:
@@ -178,9 +157,12 @@ def _fail(section: str, key: str, message: str) -> ConfigError:
 
 def _parse_float(section, key, raw) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise _fail(section, key, f"expected a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise _fail(section, key, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(section, key, raw) -> int:
@@ -257,28 +239,20 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
-
-    raw: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        raw[section] = {}
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-            raw[section][key] = value
-    return _finalize(raw)
+    return config_from_mapping(
+        {section: dict(parser.items(section)) for section in parser.sections()}
+    )
 
 
 def config_from_mapping(mapping: dict[str, Any]) -> RunConfig:
-    """Rebuild a config from an echoed report mapping."""
+    """Build a config from INI sections or an echoed report mapping."""
     raw: dict[str, dict[str, Any]] = {}
     for section, entries in mapping.items():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         raw[section] = {}
         for key, value in entries.items():
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
             if value is not None:
                 raw[section][key] = value
@@ -286,8 +260,6 @@ def config_from_mapping(mapping: dict[str, Any]) -> RunConfig:
 
 
 def _finalize(raw: dict[str, dict[str, Any]]) -> RunConfig:
-    warnings: list[str] = []
-
     constants = raw.get("constants", {})
     c = _parse_float("constants", "c", constants.get("c", 1.0))
     coulomb = _parse_float("constants", "coulomb", constants.get("coulomb", 1.0))
@@ -344,6 +316,7 @@ def _finalize(raw: dict[str, dict[str, Any]]) -> RunConfig:
             raise _fail("source", "domain_hi", "box must have positive extent")
     else:
         raise _fail("source", "domain", f"unknown domain kind {domain_kind!r}")
+    domain = _build_domain(domain_kind, domain_center, domain_radius, domain_lo, domain_hi)
 
     pulse = raw.get("pulse", {})
     pulse_kind = str(pulse.get("kind", "sine-squared"))
@@ -371,38 +344,19 @@ def _finalize(raw: dict[str, dict[str, Any]]) -> RunConfig:
         pulse_kind=pulse_kind,
         t_on=t_on,
         tau=tau,
-        **_finalize_observation(raw, domain_kind, domain_center, domain_radius,
-                                domain_lo, domain_hi, polarization, c, t_on, tau),
+        **_finalize_observation(raw, domain, polarization, c, t_on, tau),
         **_finalize_quadrature(raw),
         **_finalize_run(raw),
         **_finalize_output(raw),
-        warnings=(),
     )
-
-    _validate_semantics(config, warnings)
-    if warnings:
-        config = RunConfig(**{**_as_kwargs(config), "warnings": tuple(warnings)})
-    return config
+    return replace(config, warnings=_validate_semantics(config, domain))
 
 
-def _as_kwargs(config: RunConfig) -> dict[str, Any]:
-    return {name: getattr(config, name) for name in config.__dataclass_fields__}
-
-
-def _finalize_observation(
-    raw, domain_kind, domain_center, domain_radius, domain_lo, domain_hi,
-    polarization, c, t_on, tau,
-) -> dict[str, Any]:
+def _finalize_observation(raw, domain: Domain, polarization, c, t_on, tau) -> dict[str, Any]:
     obs = raw.get("observation", {})
-    if domain_kind == "ball":
-        dom_center = domain_center
-        dom_extent = domain_radius
-    else:
-        dom_center = tuple(0.5 * (l + h) for l, h in zip(domain_lo, domain_hi))
-        dom_extent = 0.5 * float(
-            np.linalg.norm(np.subtract(domain_hi, domain_lo))
-        )
-    ray_origin = _parse_vec("observation", "ray_origin", obs.get("ray_origin", dom_center))
+    ray_origin = _parse_vec(
+        "observation", "ray_origin", obs.get("ray_origin", tuple(domain.center))
+    )
     ray_direction = _parse_vec(
         "observation", "ray_direction", obs.get("ray_direction", (1.0, 0.0, 0.0))
     )
@@ -414,9 +368,8 @@ def _finalize_observation(
     if "radii" in obs:
         radii = _parse_radii("observation", "radii", obs["radii"])
     else:
-        radii = tuple(
-            float(v) for v in np.geomspace(2.0 * dom_extent, 20.0 * dom_extent, 5)
-        )
+        extent = domain.diameter() / 2
+        radii = tuple(float(v) for v in np.geomspace(2.0 * extent, 20.0 * extent, 5))
     if any(r <= 0.0 for r in radii) or any(
         b <= a for a, b in zip(radii[:-1], radii[1:])
     ):
@@ -476,14 +429,11 @@ def _finalize_run(raw) -> dict[str, Any]:
     if feature not in ("peak", "zero-crossing"):
         raise _fail("run", "feature", f"unknown feature {feature!r}")
     window = None
-    if "window" in run and run["window"] is not None:
+    if "window" in run:
         parts = _parse_words(run["window"])
         if len(parts) != 2:
             raise _fail("run", "window", "expected LO HI")
-        window = (
-            _parse_float("run", "window", parts[0]),
-            _parse_float("run", "window", parts[1]),
-        )
+        window = tuple(_parse_float("run", "window", p) for p in parts)
         if window[1] <= window[0]:
             raise _fail("run", "window", "needs LO < HI")
     return {
@@ -504,14 +454,12 @@ def _finalize_output(raw) -> dict[str, Any]:
     return {"output_directory": directory, "output_formats": formats}
 
 
-def _validate_semantics(config: RunConfig, warnings: list[str]) -> None:
-    domain = config.build_domain()
-    margin = EXTERIOR_MARGIN_FRACTION * domain.diameter()
+def _validate_semantics(config: RunConfig, domain: Domain) -> tuple[str, ...]:
+    """Cross-key checks; returns the config's warnings."""
     origin = np.asarray(config.ray_origin)
     direction = np.asarray(config.ray_direction)
     for r in config.radii:
-        point = origin + r * direction
-        if domain.exterior_distance(point) <= margin:
+        if not strictly_outside(domain, origin + r * direction):
             raise _fail(
                 "observation",
                 "radii",
@@ -526,8 +474,9 @@ def _validate_semantics(config: RunConfig, warnings: list[str]) -> None:
         dt = config.times[1] - config.times[0]
         limit = config.tau / VELOCITY_RESOLUTION_FACTOR
         if dt > limit:
-            warnings.append(
+            return (
                 f"velocity task: time step {dt:.6g} exceeds tau/"
                 f"{VELOCITY_RESOLUTION_FACTOR:g} = {limit:.6g}; "
-                "arrival-time interpolation may be coarse"
+                "arrival-time interpolation may be coarse",
             )
+    return ()

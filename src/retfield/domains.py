@@ -9,6 +9,10 @@ import numpy as np
 
 from .geometry import Vec3, as_vec3
 
+#: Observation points must sit at least this fraction of the domain diameter
+#: outside the domain; keeps every kernel smooth on the integration region.
+EXTERIOR_MARGIN_FRACTION = 1e-9
+
 
 @dataclass(frozen=True)
 class Box:
@@ -116,3 +120,8 @@ class Ball:
 
 
 Domain = Union[Box, Ball]
+
+
+def strictly_outside(domain: Domain, x) -> bool:
+    """Whether ``x`` lies beyond the exterior margin of ``domain``."""
+    return domain.exterior_distance(x) > EXTERIOR_MARGIN_FRACTION * domain.diameter()

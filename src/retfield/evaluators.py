@@ -34,13 +34,10 @@ from typing import Mapping
 
 import numpy as np
 
+from .domains import strictly_outside
 from .geometry import NATURAL, PhysicalConstants, Vec3, as_vec3
 from .quadrature import ConvergenceError, QuadratureRule, build_rule
 from .sources import SourceModel, TimeProfile
-
-#: Observation points must sit at least this fraction of the domain diameter
-#: outside the domain; keeps every kernel smooth on the integration region.
-EXTERIOR_MARGIN_FRACTION = 1e-9
 
 #: Relative floor regularizing the residual when both fields vanish.
 RESIDUAL_FLOOR = 1e-30
@@ -93,8 +90,7 @@ class FieldDecomposition:
 def _frame(src: SourceModel, rule: QuadratureRule, x: Vec3):
     """Distances R and unit directions theta from every node to ``x``;
     rejects an ``x`` inside or touching the domain."""
-    margin = EXTERIOR_MARGIN_FRACTION * src.domain.diameter()
-    if src.domain.exterior_distance(x) <= margin:
+    if not strictly_outside(src.domain, x):
         raise ValueError(f"observation point {x} is inside or touching the source domain")
     d = x - rule.nodes
     r = np.linalg.norm(d, axis=1)
@@ -303,16 +299,22 @@ def representation_residual(
     rule: QuadratureRule,
     constants: PhysicalConstants = NATURAL,
 ) -> float:
-    """Normalized disagreement between the two representations at one point.
-
-    Zero when both fields are exactly zero (ahead of the light front).
-    """
+    """Normalized disagreement between the two representations at one point."""
     e_zone = zone_field(src, obs, rule, constants).total
     e_jef = jefimenko_field(src, obs, rule, constants).total
-    scale = max(
-        float(np.linalg.norm(e_zone)), float(np.linalg.norm(e_jef)), RESIDUAL_FLOOR
+    return float(normalized_residual(e_zone, e_jef))
+
+
+def normalized_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| / max(|a|, |b|, RESIDUAL_FLOOR) over the last (vector) axis.
+
+    Zero where both fields are exactly zero (ahead of the light front).
+    """
+    scale = np.maximum(
+        np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)),
+        RESIDUAL_FLOOR,
     )
-    return float(np.linalg.norm(e_zone - e_jef)) / scale
+    return np.linalg.norm(a - b, axis=-1) / scale
 
 
 def refined_field(

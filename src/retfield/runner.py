@@ -32,7 +32,7 @@ from .analysis import (
     zone_scaling_fit,
 )
 from .config import RunConfig
-from .evaluators import RESIDUAL_FLOOR, ObservationPoint, block_height, refined_field
+from .evaluators import ObservationPoint, block_height, normalized_residual, refined_field
 
 logger = logging.getLogger(__name__)
 
@@ -42,8 +42,20 @@ _CSV_HEADER = (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def write_csv(path: Path | str, header: str, rows, suffix: str = "") -> Path:
+    """Write ``header``, then one line per row of floats plus ``suffix``.
+
+    Floats carry 17 significant digits so values round-trip exactly.  Rows
+    are written one at a time, so no text copy of the table is held.
+    """
+    path = Path(path)
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + suffix + "\n"
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(line % tuple(row))
+    return path
 
 
 @dataclass
@@ -89,45 +101,26 @@ class RunReport:
 def emit_waveform_csv(series: WaveformSeries, path: Path | str) -> Path:
     """Write a series in the fixed column schema, rows sorted by (r, t).
 
-    Two-term decompositions leave the term3 columns zero-filled.  Floats
-    carry 17 significant digits so values round-trip exactly.
+    Two-term decompositions leave the term3 columns zero-filled.
     """
     if series.radii.size == 0 or series.times.size == 0:
         raise ValueError("refusing to write an empty waveform series")
-    path = Path(path)
-    terms = np.zeros(series.fields.shape[:2] + (3, 3))
-    terms[:, :, : len(series.terms)] = series.fields
-    total = series.total_field()
-    lines = [_CSV_HEADER]
-    for i, r in enumerate(series.radii):
-        for j, t in enumerate(series.times):
-            row = [_fmt(r), _fmt(t)]
-            row.extend(_fmt(v) for v in total[i, j])
-            row.extend(_fmt(v) for v in terms[i, j].ravel())
-            row.append(series.representation)
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    n_r, n_t = series.fields.shape[:2]
+    rows = np.zeros((n_r, n_t, 14))
+    rows[:, :, 0] = series.radii[:, None]
+    rows[:, :, 1] = series.times
+    rows[:, :, 2:5] = series.total_field()
+    rows[:, :, 5 : 5 + 3 * len(series.terms)] = series.fields.reshape(n_r, n_t, -1)
+    return write_csv(path, _CSV_HEADER, rows.reshape(-1, 14), f",{series.representation}")
 
 
 def emit_velocity_csv(profile, path: Path | str) -> Path:
     """Write per-segment velocities: r_mid, t_star_lo, t_star_hi, v."""
-    path = Path(path)
-    lines = ["r_mid,t_star_lo,t_star_hi,v"]
-    for i, v in enumerate(profile.velocities):
-        r_mid = 0.5 * (profile.radii[i] + profile.radii[i + 1])
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r_mid),
-                    _fmt(profile.arrival_times[i]),
-                    _fmt(profile.arrival_times[i + 1]),
-                    _fmt(v),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    radii, arrivals = profile.radii, profile.arrival_times
+    rows = np.column_stack(
+        [0.5 * (radii[:-1] + radii[1:]), arrivals[:-1], arrivals[1:], profile.velocities]
+    )
+    return write_csv(path, "r_mid,t_star_lo,t_star_hi,v", rows)
 
 
 def _calibrate(src, config: RunConfig, constants):
@@ -188,13 +181,7 @@ def _task_compare(src, config, constants, sample, outdir, fmts) -> TaskReport:
             name = f"waveform_{representation}.csv"
             emit_waveform_csv(sample(representation), outdir / name)
             report.artifacts.append(name)
-    scale = np.maximum(
-        np.maximum(
-            np.linalg.norm(e_zone, axis=-1), np.linalg.norm(e_jef, axis=-1)
-        ),
-        RESIDUAL_FLOOR,
-    )
-    residuals = np.linalg.norm(e_zone - e_jef, axis=-1) / scale
+    residuals = normalized_residual(e_zone, e_jef)
     report.details = {
         "residual_max": float(residuals.max()),
         "residual_mean": float(residuals.mean()),
@@ -258,15 +245,12 @@ def _task_scaling(src, config, constants, sample, outdir, fmts) -> TaskReport:
         "far": zone_scaling_fit(series, "far", moving_window),
     }
     if "csv" in fmts:
-        path = outdir / "scaling.csv"
-        lines = ["r,near,intermediate,far"]
-        for i, r in enumerate(series.radii):
-            amps = [
-                np.linalg.norm(series.term_field(term)[i], axis=-1).max()
-                for term in ("near", "intermediate", "far")
-            ]
-            lines.append(",".join([_fmt(r)] + [_fmt(a) for a in amps]))
-        path.write_text("\n".join(lines) + "\n")
+        amplitudes = [
+            np.linalg.norm(series.term_field(term), axis=-1).max(axis=1)
+            for term in ("near", "intermediate", "far")
+        ]
+        rows = np.column_stack([series.radii, *amplitudes])
+        write_csv(outdir / "scaling.csv", "r,near,intermediate,far", rows)
         report.artifacts.append("scaling.csv")
     report.details = {
         "exponents": exponents,

@@ -10,7 +10,7 @@ from retfield.cli import main
 from retfield.config import config_from_mapping, parse_config
 from retfield.evaluators import FieldDecomposition, block_height
 from retfield.quadrature import ConvergenceError, build_rule
-from retfield.runner import emit_waveform_csv, run_tasks
+from retfield.runner import emit_waveform_csv, run_tasks, write_csv
 
 QUICK = """
 [source]
@@ -317,6 +317,29 @@ class TestEmitWaveformCsv:
         assert not (tmp_path / "x.csv").exists()
 
 
+def frozen_csv(header, rows, suffix=""):
+    """The per-value f-string formatting the CSV writers used to apply."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) + suffix for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((4806, 14)) * 10.0 ** rng.integers(-300, 300, (4806, 14))
+        rows[:40] = 0.0  # ahead of the light front
+        rows[40:80] = -0.0
+        rows[80, :6] = [1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.1]
+        rows[:, 1] = np.linspace(0.0, 3.0, 4806)
+        for suffix in ("", ",zones"):
+            path = write_csv(tmp_path / "x.csv", "a,b", rows, suffix)
+            assert path.read_text() == frozen_csv("a,b", rows, suffix)
+
+    def test_header_only_for_no_rows(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", "a,b", np.zeros((0, 2)))
+        assert path.read_text() == "a,b\n"
+
+
 class TestCli:
     def write(self, tmp_path, text=QUICK):
         path = tmp_path / "run.cfg"
@@ -383,6 +406,36 @@ tasks = scaling
     def test_bad_thread_count(self, tmp_path, capsys):
         path = self.write(tmp_path)
         assert main(["run", str(path), "--threads", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("sigma = 0.05", "sigma = 0.05\ndomain_radius = nan"),
+            ("sigma = 0.05", "sigma = 0.05\namplitude = nan"),
+            ("tau = 8.0", "tau = inf"),
+        ],
+        ids=["domain_radius", "amplitude", "tau"],
+    )
+    def test_non_finite_number_is_invalid_config(self, tmp_path, capsys, old, new):
+        path = self.write(tmp_path, QUICK.replace(old, new))
+        assert main(["run", str(path), "--validate-only"]) == 1
+        captured = capsys.readouterr()
+        assert "invalid config" in captured.err and "finite" in captured.err
+        assert "config ok" not in captured.out
+
+    def test_warnings_share_one_format(self, tmp_path, capsys):
+        # a coarse velocity grid (config warning) and a missed tolerance
+        # (logged by the runner): both print once per call, in one format
+        text = QUICK.replace("tasks = decompose", "tasks = velocity")
+        text = text.replace("max_order = 16", "max_order = 12").replace("tol = 1e-8", "tol = 1e-30")
+        path = self.write(tmp_path, text)
+        for _ in range(2):
+            main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 2
+            assert lines[0].startswith("retfield: warning: velocity task: time step")
+            assert lines[1].startswith("retfield: warning: quadrature order 12 misses tol 1e-30")
+        assert logging.getLogger("retfield").handlers == []
 
     def test_velocity_warning_printed(self, tmp_path, capsys):
         text = QUICK.replace("tasks = decompose", "tasks = velocity")
