@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluators import KERNELS, block_height
+from .evaluators import KERNELS
 from .geometry import NATURAL, PhysicalConstants, Vec3, as_vec3
 from .quadrature import QuadratureRule
 from .sources import SourceModel
@@ -101,11 +101,12 @@ def sample_waveforms(
 ) -> WaveformSeries:
     """Evaluate one representation on the full (radius, time) grid.
 
-    One kernel serves the whole grid.  Threads split the work by radius;
-    each radius is evaluated in blocks of ``block_height(len(rule))`` times
-    and every row comes out the same whatever the block or thread layout,
-    so the output is deterministic for a given build.  The array is
-    read-only, so one series can be shared by several consumers.
+    One kernel serves the whole grid.  Threads split the work by radius,
+    and each radius is evaluated at all times in one kernel call; how the
+    pulse sums over the nodes is up to the pulse (``sources``).  Every
+    radius comes out the same whatever the thread layout, so the output is
+    deterministic for a given build.  The array is read-only, so one series
+    can be shared by several consumers.
     """
     try:
         kernel_type = KERNELS[representation]
@@ -124,19 +125,14 @@ def sample_waveforms(
     axis = src.polarization if component_axis is None else as_vec3(component_axis)
 
     kernel = kernel_type(src, rule, constants)
-    height = block_height(len(rule))
     fields = np.empty((radii.size, times.size, len(kernel.terms), 3))
 
     def run(i):
-        j = 0
         try:
-            geometry = kernel.at(origin + radii[i] * direction)
-            for j in range(0, times.size, height):
-                fields[i, j : j + height] = kernel.fields(geometry, times[j : j + height])
+            fields[i] = kernel.fields(kernel.at(origin + radii[i] * direction), times)
         except Exception as exc:
-            raise RuntimeError(
-                f"field evaluation failed at r={radii[i]}, t={times[j]}: {exc}"
-            ) from exc
+            span = f"{times[0]}..{times[-1]}" if times.size else "none"
+            raise RuntimeError(f"field evaluation failed at r={radii[i]}, t={span}: {exc}") from exc
 
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         # list() drains the map so a worker's exception is raised here

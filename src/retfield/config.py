@@ -239,6 +239,9 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    # configparser would copy these keys into every section
+    if parser.defaults():
+        raise ConfigError("[DEFAULT] is not supported: put each key in its own section")
     return config_from_mapping(
         {section: dict(parser.items(section)) for section in parser.sections()}
     )

@@ -20,11 +20,12 @@ and raises ConvergenceError when it stalls instead.
 Both run on one time-batched engine.  A kernel (``ZoneKernel``,
 ``JefimenkoKernel``) computes the node factors that depend only on the
 rule once; ``at(x)`` computes the delays R/c and kernel columns of one
-observation point; ``fields(geometry, times)`` evaluates the pulse once on
-the (times x nodes) matrix of retarded times and reduces it against the
-columns.  ``zone_field`` and ``jefimenko_field`` run it at a single time;
-``analysis.sample_waveforms`` runs it over a grid, ``block_height`` times
-at a time.
+observation point; ``fields(geometry, times)`` asks the pulse for the node
+sums of F, f and f' against those columns at every time
+(``column_sums``; how a pulse forms them is its own business, see
+``sources``) and assembles the terms from them.  ``zone_field`` and
+``jefimenko_field`` run it at a single time; ``analysis.sample_waveforms``
+runs it over a grid, one observation point at a time.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ from .sources import SourceModel, TimeProfile
 
 #: Relative floor regularizing the residual when both fields vanish.
 RESIDUAL_FLOOR = 1e-30
-
-#: Entries of one (times x nodes) block of retarded times.  It bounds the
-#: working set of a sampling (128 KB per block array) whatever the grid; on
-#: a 2 MB-L2 x86 core, blocks of 2**15 entries and up ran 1.5-2x slower.
-BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,23 +93,9 @@ def _frame(src: SourceModel, rule: QuadratureRule, x: Vec3):
     return r, d / r[:, None]
 
 
-def _reduce(pulse: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Node sums of a (times, nodes) pulse block against (k, nodes) columns.
-
-    einsum sums each output row on its own, so a row comes out bit for bit
-    the same whatever the block height; a BLAS matmul does not promise that.
-    """
-    return np.einsum("tn,kn->tk", pulse, columns)
-
-
 def _weighted_envelope(src: SourceModel, rule: QuadratureRule) -> np.ndarray:
     """w * A * g(x') at every node: the part of the current fixed per sampling."""
     return rule.weights * (src.amplitude * np.asarray(src.envelope.value(rule.nodes)))
-
-
-def block_height(n_nodes: int) -> int:
-    """Observation times per block, so a block holds ~BLOCK_ELEMENTS entries."""
-    return max(1, BLOCK_ELEMENTS // n_nodes)
 
 
 class ZoneKernel:
@@ -133,7 +115,8 @@ class ZoneKernel:
         """Delays R/c and, for p = 3, 2, 1, the (4, nodes) columns
         [wAg/R^p, theta (theta . p_hat) wAg/R^p]."""
         r, theta = _frame(self.src, self.rule, x)
-        # C order throughout: einsum is several times slower on strided columns
+        # C order throughout: the block summation's einsum is several times
+        # slower on strided columns
         along = np.ascontiguousarray((theta * (theta @ self.src.polarization)[:, None]).T)
         columns = []
         for p in (3, 2, 1):
@@ -143,11 +126,10 @@ class ZoneKernel:
 
     def fields(self, geometry, times: np.ndarray) -> np.ndarray:
         """Terms at each of ``times``, shape (times, 3, 3)."""
-        delays, (cols3, cols2, cols1) = geometry
+        delays, columns = geometry
         c, k_c = self.constants.c, self.constants.coulomb
         pol = self.src.polarization
-        primitive, value, rate = self.src.profile.evaluate(times[:, None] - delays)
-        s3, s2, s1 = _reduce(primitive, cols3), _reduce(value, cols2), _reduce(rate, cols1)
+        s3, s2, s1 = self.src.profile.column_sums(delays, columns, times)
         out = np.empty((times.size, 3, 3))
         # (delta - 3 theta theta^T) @ v  ==  v - 3 theta (theta . v)
         out[:, 0] = -k_c * (pol * s3[:, :1] - 3.0 * s3[:, 1:])
@@ -187,10 +169,12 @@ class JefimenkoKernel:
         delays, (current_cols, charge_cols) = geometry
         c, k_c = self.constants.c, self.constants.coulomb
         pol = self.src.polarization
-        primitive, _, rate = self.src.profile.evaluate(times[:, None] - delays)
+        charge, _, current = self.src.profile.column_sums(
+            delays, (charge_cols, None, current_cols), times
+        )
         out = np.empty((times.size, 2, 3))
-        out[:, 0] = -(k_c / c**2) * pol * _reduce(rate, current_cols)
-        out[:, 1] = -k_c * _reduce(primitive, charge_cols)
+        out[:, 0] = -(k_c / c**2) * pol * current
+        out[:, 1] = -k_c * charge
         return out
 
 

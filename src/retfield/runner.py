@@ -32,7 +32,8 @@ from .analysis import (
     zone_scaling_fit,
 )
 from .config import RunConfig
-from .evaluators import ObservationPoint, block_height, normalized_residual, refined_field
+from .evaluators import ObservationPoint, normalized_residual, refined_field
+from .sources import block_height
 
 logger = logging.getLogger(__name__)
 
@@ -81,8 +82,9 @@ class RunReport:
     config: dict[str, Any]
     output_directory: str = ""
     tasks: list[TaskReport] = field(default_factory=list)
-    #: Per sampled representation: seconds, cells, nodes, node_evals_per_s
-    #: and the time-block height of the batched engine.
+    #: Per sampled representation: seconds, cells, nodes, node_evals_per_s,
+    #: the pulse's summation ("prefix" or "block") and, for "block", the
+    #: time-block height.
     profile: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def any_errors(self) -> bool:
@@ -311,13 +313,16 @@ def run_tasks(
         )
         seconds = time.perf_counter() - start
         cells = series.radii.size * series.times.size
+        summation = src.profile.summation
         report.profile[representation] = {
             "seconds": seconds,
             "cells": cells,
             "nodes": len(rule),
             "node_evals_per_s": cells * len(rule) / seconds,
-            "block_height": block_height(len(rule)),
+            "summation": summation,
         }
+        if summation == "block":
+            report.profile[representation]["block_height"] = block_height(len(rule))
         return series
 
     for name in config.tasks:

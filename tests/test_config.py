@@ -208,6 +208,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown task"):
             parse_config(MINIMAL.replace("tasks = decompose", "tasks = render"))
 
+    def test_default_section_rejected(self):
+        # configparser would merge [DEFAULT] into every section, so its keys
+        # surfaced as unknown keys of whichever section came first
+        text = "[DEFAULT]\nsigma = 0.05\n" + MINIMAL.replace("sigma = 0.05\n", "")
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\] is not supported"):
+            parse_config(text)
+        assert parse_config("[DEFAULT]\n" + MINIMAL) == parse_config(MINIMAL)
+
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[source\nsigma = 0.05")

@@ -1,14 +1,20 @@
 """The time-batched field engine against the frozen per-cell formulas and
-the kernel matrices, and its independence from block and thread layout."""
+the kernel matrices, and its independence from block and thread layout.
+
+The sine-squared pulse is summed by prefix sums over delay-sorted nodes
+(``sources.prefix_sums``), the derivative-of-Gaussian pulse on blocks of
+retarded times (``sources.block_sums``); both are checked against the
+per-cell formulas, and the prefix path also against the block path.
+"""
 
 import numpy as np
 import pytest
 from legacy_fields import legacy_jefimenko_field, legacy_zone_field
 
-from retfield import evaluators
+from retfield import sources
 from retfield.analysis import sample_waveforms
-from retfield.domains import Ball
-from retfield.evaluators import JefimenkoKernel, ObservationPoint, zone_field
+from retfield.domains import Ball, Box
+from retfield.evaluators import KERNELS, JefimenkoKernel, ObservationPoint, zone_field
 from retfield.geometry import NATURAL, PhysicalConstants, double_gradient_kernel, far_kernel
 from retfield.quadrature import build_rule
 from retfield.sources import (
@@ -17,6 +23,7 @@ from retfield.sources import (
     SineSquaredPulse,
     SourceModel,
     TruncatedGaussianEnvelope,
+    block_sums,
 )
 
 #: Largest shift from the per-cell formulas, relative to the peak |E|.
@@ -30,6 +37,12 @@ FD_RTOL = 1e-7
 ENVELOPES = {
     "gaussian": GaussianEnvelope(center=(0, 0, 0), sigma=0.05),
     "truncated": TruncatedGaussianEnvelope(center=(0, 0, 0), sigma=0.1, cut_radius=0.1),
+    "box": GaussianEnvelope(center=(0.02, -0.01, 0.03), sigma=0.1),
+}
+DOMAINS = {
+    "gaussian": Ball(center=(0, 0, 0), radius=0.5),
+    "truncated": Ball(center=(0, 0, 0), radius=0.1),
+    "box": Box(lo=(-0.3, -0.3, -0.3), hi=(0.3, 0.3, 0.3)),
 }
 PULSES = {"sine-squared": SineSquaredPulse, "differentiated-gaussian": DifferentiatedGaussianPulse}
 
@@ -40,16 +53,19 @@ RADII = np.array([0.6, 1.0, 1.7, 2.5])
 TIMES = np.linspace(0.0, 12.0, 25)
 
 
-def source(envelope="gaussian", pulse="sine-squared"):
-    env = ENVELOPES[envelope]
-    radius = 0.5 if envelope == "gaussian" else env.cut_radius
+def source(envelope="gaussian", pulse="sine-squared", t_on=0.0, tau=8.0):
     return SourceModel(
-        envelope=env,
-        profile=PULSES[pulse](t_on=0.0, tau=8.0),
+        envelope=ENVELOPES[envelope],
+        profile=PULSES[pulse](t_on=t_on, tau=tau),
         polarization=(0.0, 0.6, 0.8),
         amplitude=-1.3,
-        domain=Ball(center=(0, 0, 0), radius=radius),
+        domain=DOMAINS[envelope],
     )
+
+
+def legacy_fields(representation, src, x, times, rule):
+    legacy = legacy_zone_field if representation == "zones" else legacy_jefimenko_field
+    return np.array([legacy(src, x, t, rule, NATURAL) for t in times])
 
 
 def _peak(fields):
@@ -63,9 +79,8 @@ def test_matches_per_cell_formulas(representation, envelope, pulse):
     src = source(envelope, pulse)
     rule = build_rule(src.domain, 14)
     series = sample_waveforms(src, representation, radii=RADII, times=TIMES, rule=rule, **RAY)
-    legacy = legacy_zone_field if representation == "zones" else legacy_jefimenko_field
     expected = np.array(
-        [[legacy(src, series.point(i), t, rule, NATURAL) for t in TIMES] for i in range(RADII.size)]
+        [legacy_fields(representation, src, series.point(i), TIMES, rule) for i in range(RADII.size)]
     )
     assert series.fields.shape == expected.shape
     peak = _peak(expected)
@@ -126,9 +141,129 @@ def test_block_and_thread_layout_do_not_change_fields(representation, monkeypatc
     rule = build_rule(src.domain, 10)
     kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)
     reference = sample_waveforms(src, representation, **kwargs).fields.tobytes()
-    assert evaluators.block_height(len(rule)) > 1  # the default layout really is blocked
+    assert sources.block_height(len(rule)) > 1  # the default layout really is blocked
     for block_elements in (1, 10**9):
-        monkeypatch.setattr(evaluators, "BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(sources, "BLOCK_ELEMENTS", block_elements)
         for threads in (1, 2, 4):
             fields = sample_waveforms(src, representation, threads=threads, **kwargs).fields
             assert fields.tobytes() == reference, (block_elements, threads)
+
+
+def _edges(pulse, delays):
+    """Each delay's support edges t_on + d and t_on + tau + d, two floats
+    either side of each, sorted."""
+    edges = np.concatenate([pulse.t_on + delays, pulse.t_on + pulse.tau + delays])
+    times = [edges]
+    for direction in (-np.inf, np.inf):
+        step = edges
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            times.append(step)
+    return np.unique(np.concatenate(times))
+
+
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+def test_prefix_sums_at_support_edges(representation):
+    """At the times the nearest, farthest and a middle node enter and leave
+    the burst, and at their float neighbours."""
+    src = source("box", t_on=0.75, tau=2.0)
+    rule = build_rule(src.domain, 10)
+    kernel = KERNELS[representation](src, rule, NATURAL)
+    x = np.array([0.7, 0.25, -0.1])
+    delays, _ = kernel.at(x)
+    chosen = np.argsort(delays)[[0, delays.size // 2, -1]]
+    times = _edges(src.profile, delays[chosen])
+    got = kernel.fields(kernel.at(x), times)
+    expected = legacy_fields(representation, src, x, times, rule)
+    assert np.abs(got - expected).max() <= ORACLE_RTOL * _peak(expected)
+    # the nearest node's entry time and the floats before it are pre-front
+    front = times <= src.profile.t_on + delays.min()
+    assert front.sum() == 3 and not np.any(expected[front])
+    assert got[front].tobytes() == expected[front].tobytes()
+
+
+def test_prefix_sums_keep_support_edges_exact():
+    """On dyadic delays every support edge is hit exactly.  A column that
+    picks out one node then sums to that node's F, f and f' as the block
+    path evaluates them.  Where the node is outside its burst (f exactly
+    zero), the prefix sums equal those values exactly (f = f' = 0, F = 0
+    or tau/2): a node at an edge of its burst is not summed as a run
+    member."""
+    rng = np.random.default_rng(7)
+    pulse = SineSquaredPulse(t_on=0.5, tau=2.0)
+    delays = 1.0 + rng.integers(0, 2**10, 48) / 2**10  # 2**-10 steps, some tied
+    columns = np.eye(delays.size)
+    times = _edges(pulse, delays)
+    got = pulse.column_sums(delays, (columns,) * 3, times)
+    expected = block_sums(pulse, delays, (columns,) * 3, times)
+    outside = expected[1] == 0.0
+    assert 2 * delays.size < outside.sum() < outside.size
+    for name, g, e, scale in zip(("F", "f", "rate"), got, expected, (pulse.tau, 1.0, 1.0)):
+        assert np.abs(g - e).max() <= 1e-14 * scale, name
+        assert np.all(g[outside] == e[outside]), name
+
+
+def test_prefix_sums_depend_only_on_delay_differences():
+    """Far radius (d ~ 50) and late switch-on (t_on = 1e3): shifting every
+    delay and time by one amount gives the same bits, because the sums are
+    formed from each delay's offset to the smallest.  Dyadic inputs make
+    every shift exact."""
+    rng = np.random.default_rng(11)
+    pulse = SineSquaredPulse(t_on=1e3, tau=0.5)
+    delays = 50.0 + rng.integers(0, 2**12, 300) / 2**12
+    columns = rng.standard_normal((3, delays.size))
+    times = pulse.t_on + 50.0 + np.arange(-16, 3 * 64) / 64
+    reference = pulse.column_sums(delays, (columns,) * 3, times)
+    for shift in (-48.0, 1024.0):
+        shifted = pulse.column_sums(delays + shift, (columns,) * 3, times + shift)
+        for a, b in zip(reference, shifted):
+            assert a.tobytes() == b.tobytes(), shift
+
+
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+def test_far_radius_late_switch_on_matches_per_cell_formulas(representation):
+    src = source("gaussian", t_on=1e3)
+    rule = build_rule(src.domain, 12)
+    x = 50.0 * np.array([1.0, 0.3, 0.2]) / np.linalg.norm([1.0, 0.3, 0.2])
+    times = src.t_on + 50.0 + np.linspace(-1.0, 10.0, 45)
+    kernel = KERNELS[representation](src, rule, NATURAL)
+    got = kernel.fields(kernel.at(x), times)
+    expected = legacy_fields(representation, src, x, times, rule)
+    assert np.abs(got - expected).max() <= ORACLE_RTOL * _peak(expected)
+
+
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+def test_thread_count_does_not_change_prefix_sums(representation):
+    src = source("box", tau=2.0)
+    rule = build_rule(src.domain, 10)
+    kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)
+    reference = sample_waveforms(src, representation, **kwargs).fields.tobytes()
+    for threads in (2, 4):
+        fields = sample_waveforms(src, representation, threads=threads, **kwargs).fields
+        assert fields.tobytes() == reference, threads
+
+
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+def test_exact_zeros_match_block_path(representation, monkeypatch):
+    """On a box grid that starts ahead of the light front and ends after
+    the burst has left every node, each cell the block path leaves exactly
+    zero -- the whole field ahead of the front, the f and f' terms after
+    the burst -- has the same bits, signed zeros included, in the prefix
+    path; every other cell agrees to rounding."""
+    src = source("box", tau=2.0)
+    rule = build_rule(src.domain, 10)
+    kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)
+    prefix = sample_waveforms(src, representation, **kwargs).fields
+    monkeypatch.setattr(SineSquaredPulse, "column_sums", block_sums)
+    block = sample_waveforms(src, representation, **kwargs).fields
+    zero = np.all(block == 0.0, axis=-1)
+    pre_front = np.all(zero, axis=-1)
+    assert pre_front.sum() >= RADII.size and not pre_front.all()
+    assert prefix[pre_front].tobytes() == block[pre_front].tobytes()
+    # after the burst only the terms of F are left
+    burst_terms = [1, 2] if representation == "zones" else [0]
+    post_burst = np.all(zero[..., burst_terms], axis=-1) & ~pre_front
+    assert post_burst.sum() >= RADII.size
+    after = (slice(None), slice(None), burst_terms)
+    assert prefix[after][post_burst].tobytes() == block[after][post_burst].tobytes()
+    assert np.abs(prefix - block).max() <= ORACLE_RTOL * _peak(block)

@@ -8,9 +8,10 @@ import pytest
 from retfield import evaluators, runner
 from retfield.cli import main
 from retfield.config import config_from_mapping, parse_config
-from retfield.evaluators import FieldDecomposition, block_height
+from retfield.evaluators import FieldDecomposition
 from retfield.quadrature import ConvergenceError, build_rule
 from retfield.runner import emit_waveform_csv, run_tasks, write_csv
+from retfield.sources import block_height
 
 QUICK = """
 [source]
@@ -109,20 +110,27 @@ class TestRunTasks:
             assert (tmp_path / "4" / name).read_bytes() == serial
 
     def test_report_profiles_each_sampling(self, tmp_path):
-        config = quick_config(tasks="compare")
-        run_tasks(config, output_dir=tmp_path)
-        report = json.loads((tmp_path / "report.json").read_text())
-        order = report["tasks"][0]["details"]["quadrature"]["order"]
-        nodes = len(build_rule(config.build_source().domain, order))
-        profile = report["profile"]
-        assert sorted(profile) == ["jefimenko", "zones"]
-        for entry in profile.values():
-            assert entry["cells"] == 3 * 9
-            assert entry["nodes"] == nodes
-            assert entry["cells"] * entry["nodes"] / entry["seconds"] == pytest.approx(
-                entry["node_evals_per_s"]
-            )
-            assert entry["block_height"] == block_height(nodes)
+        # the sine-squared pulse sums by prefix sums, the Gaussian in blocks
+        for kind, summation in [("sine-squared", "prefix"), ("differentiated-gaussian", "block")]:
+            text = QUICK.replace("tasks = decompose", "tasks = compare")
+            config = parse_config(text.replace("tau = 8.0", f"kind = {kind}\ntau = 8.0"))
+            run_tasks(config, output_dir=tmp_path / kind)
+            report = json.loads((tmp_path / kind / "report.json").read_text())
+            order = report["tasks"][0]["details"]["quadrature"]["order"]
+            nodes = len(build_rule(config.build_source().domain, order))
+            profile = report["profile"]
+            assert sorted(profile) == ["jefimenko", "zones"]
+            for entry in profile.values():
+                assert entry["cells"] == 3 * 9
+                assert entry["nodes"] == nodes
+                assert entry["cells"] * entry["nodes"] / entry["seconds"] == pytest.approx(
+                    entry["node_evals_per_s"]
+                )
+                assert entry["summation"] == summation
+                if summation == "block":
+                    assert entry["block_height"] == block_height(nodes)
+                else:
+                    assert "block_height" not in entry
 
     @pytest.mark.parametrize(
         "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]
@@ -421,6 +429,15 @@ tasks = scaling
         assert main(["run", str(path), "--validate-only"]) == 1
         captured = capsys.readouterr()
         assert "invalid config" in captured.err and "finite" in captured.err
+        assert "config ok" not in captured.out
+
+    def test_default_section_is_invalid_config(self, tmp_path, capsys):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "smooth_compare.cfg"
+        text = "[DEFAULT]\nsigma = 0.05\n" + shipped.read_text().replace("sigma = 0.05\n", "")
+        path = self.write(tmp_path, text)
+        assert main(["run", str(path), "--validate-only"]) == 1
+        captured = capsys.readouterr()
+        assert "invalid config" in captured.err and "[DEFAULT]" in captured.err
         assert "config ok" not in captured.out
 
     def test_warnings_share_one_format(self, tmp_path, capsys):
