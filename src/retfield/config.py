@@ -14,8 +14,8 @@ Sections and keys (defaults in parentheses):
   [source]       envelope (gaussian), sigma (required), center (0 0 0),
                  cut_radius (required for truncated-gaussian),
                  polarization (0 0 1), amplitude (1.0),
-                 domain (ball), domain_center (= center),
-                 domain_radius (= 8 sigma), domain_lo/domain_hi (box only)
+                 domain (ball), domain_center/domain_radius (ball only;
+                 = center, 8 sigma), domain_lo/domain_hi (box only)
   [pulse]        kind (sine-squared), t_on (0.0), tau (1.0)
   [observation]  ray_origin (= domain center), ray_direction (1 0 0),
                  radii ("geometric START STOP COUNT" | "linear ..." |
@@ -311,6 +311,8 @@ def _finalize(raw: dict[str, dict[str, Any]]) -> RunConfig:
         if "domain_lo" in source or "domain_hi" in source:
             raise _fail("source", "domain_lo", "box bounds given for a ball domain")
     elif domain_kind == "box":
+        if "domain_center" in source or "domain_radius" in source:
+            raise _fail("source", "domain_center", "ball center/radius given for a box domain")
         if "domain_lo" not in source or "domain_hi" not in source:
             raise _fail("source", "domain_lo", "box domain needs domain_lo and domain_hi")
         domain_lo = _parse_vec("source", "domain_lo", source["domain_lo"])
@@ -408,8 +410,8 @@ def _finalize_quadrature(raw) -> dict[str, Any]:
     tol = _parse_float("quadrature", "tol", quad.get("tol", 1e-8))
     if base_order < 1:
         raise _fail("quadrature", "base_order", "must be >= 1")
-    if base_order >= max_order:
-        raise _fail("quadrature", "max_order", "base_order must be below max_order")
+    if max_order < base_order + 2:
+        raise _fail("quadrature", "max_order", "must be at least base_order + 2 (steps of 2)")
     if tol <= 0.0:
         raise _fail("quadrature", "tol", "must be positive")
     return {"base_order": base_order, "max_order": max_order, "tol": tol}

@@ -18,10 +18,11 @@ climbs quadrature orders at one observation point until the field settles,
 and raises ConvergenceError when it stalls instead.
 
 Both run on one time-batched engine.  A kernel (``ZoneKernel``,
-``JefimenkoKernel``) computes the node factors that depend only on the
-rule once; ``at(x)`` computes the delays R/c and kernel columns of one
-observation point; ``fields(geometry, times)`` asks the pulse for the node
-sums of F, f and f' against those columns at every time
+``JefimenkoKernel``) weights the source's node factors
+(``SourceModel.current_factor``, ``charge_gradient_factor``) by the rule's
+weights once per sampling; ``at(x)`` computes the delays R/c and kernel
+columns of one observation point; ``fields(geometry, times)`` asks the
+pulse for the node sums of F, f and f' against those columns at every time
 (``column_sums``; how a pulse forms them is its own business, see
 ``sources``) and assembles the terms from them.  ``zone_field`` and
 ``jefimenko_field`` run it at a single time; ``analysis.sample_waveforms``
@@ -93,15 +94,10 @@ def _frame(src: SourceModel, rule: QuadratureRule, x: Vec3):
     return r, d / r[:, None]
 
 
-def _weighted_envelope(src: SourceModel, rule: QuadratureRule) -> np.ndarray:
-    """w * A * g(x') at every node: the part of the current fixed per sampling."""
-    return rule.weights * (src.amplitude * np.asarray(src.envelope.value(rule.nodes)))
-
-
 class ZoneKernel:
     """Near + intermediate + far integrals with explicit 1/R^p kernels.
 
-    Per sampling the kernel holds the weighted envelope w*A*g.
+    Per sampling the kernel holds the weighted current factor w*A*g.
     """
 
     representation = "zones"
@@ -109,7 +105,7 @@ class ZoneKernel:
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
         self.src, self.rule, self.constants = src, rule, constants
-        self.weighted = _weighted_envelope(src, rule)
+        self.weighted = rule.weights * src.current_factor(rule.nodes)
 
     def at(self, x: Vec3):
         """Delays R/c and, for p = 3, 2, 1, the (4, nodes) columns
@@ -143,8 +139,8 @@ class JefimenkoKernel:
 
     The time derivative of the current integral is taken analytically on
     the pulse, under the integral.  Per sampling the kernel holds the
-    weighted envelope w*A*g and the weighted charge gradient per unit F(t),
-    -w*A*(H . p_hat).
+    weighted current factor w*A*g and the weighted charge gradient factor
+    -w*A*(H . p_hat), the gradient of the charge per unit F(t).
     """
 
     representation = "jefimenko"
@@ -152,9 +148,8 @@ class JefimenkoKernel:
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
         self.src, self.rule, self.constants = src, rule, constants
-        self.weighted = _weighted_envelope(src, rule)
-        hessian_pol = src.envelope.hessian(rule.nodes) @ src.polarization
-        self.charge_weights = rule.weights[:, None] * (-src.amplitude * hessian_pol)
+        self.weighted = rule.weights * src.current_factor(rule.nodes)
+        self.charge_weights = rule.weights[:, None] * src.charge_gradient_factor(rule.nodes)
 
     def at(self, x: Vec3):
         """Delays R/c, the (1, nodes) column wAg/R and the (3, nodes)
@@ -326,8 +321,8 @@ def refined_field(
         raise ValueError(
             f"unknown representation {representation!r}; expected one of {sorted(EVALUATORS)}"
         ) from None
-    if base_order >= max_order:
-        raise ValueError("base order must be below max order")
+    if max_order < base_order + 2:
+        raise ValueError("base order must be at least 2 below max order (steps of 2)")
 
     previous = None
     err = np.inf

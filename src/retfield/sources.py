@@ -7,7 +7,11 @@ density reconstructed from charge conservation,
 
     rho(x', t) = -A * (p_hat . grad g) * F(t),   F(t) = int_{t_on}^t f.
 
-``rho`` therefore vanishes identically at the switch-on time.
+``rho`` therefore vanishes identically at the switch-on time.  Every
+density is a spatial factor of ``SourceModel`` times a pulse quantity:
+``J = p_hat * current_factor * f``, ``rho = charge_factor * F`` and
+``grad rho = charge_gradient_factor * F``; the field kernels weight the
+same factors by the quadrature weights.
 
 The field engine never evaluates a pulse node by node itself: it hands a
 pulse the delays R/c and kernel columns of one observation point and asks
@@ -397,7 +401,11 @@ def make_envelope(
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Separable current density A * p_hat * g(x') * f(t') on a domain."""
+    """Separable current density A * p_hat * g(x') * f(t') on a domain.
+
+    Each density is one spatial factor method times a pulse quantity; only
+    ``charge_gradient_factor`` evaluates the envelope's Hessian.
+    """
 
     envelope: SpatialEnvelope
     profile: TimeProfile
@@ -417,52 +425,24 @@ class SourceModel:
     def t_on(self) -> float:
         return self.profile.t_on
 
-    def _directed(self, scalar) -> np.ndarray:
-        return np.asarray(scalar)[..., None] * self.polarization
+    def current_factor(self, nodes) -> np.ndarray:
+        """A * g(x'): J = p_hat * current_factor * f(t)."""
+        return self.amplitude * np.asarray(self.envelope.value(nodes))
 
-    def current(self, xp, tp) -> np.ndarray:
-        """J(x', t'); identically zero before switch-on."""
-        return self._directed(
-            self.amplitude * np.asarray(self.envelope.value(xp)) * self.profile.value(tp)
-        )
+    def charge_factor(self, nodes) -> np.ndarray:
+        """-A * (p_hat . grad g)(x'): rho = charge_factor * F(t)."""
+        return -self.amplitude * (self.envelope.gradient(nodes) @ self.polarization)
 
-    def current_time_derivative(self, xp, tp) -> np.ndarray:
-        return self._directed(
-            self.amplitude
-            * np.asarray(self.envelope.value(xp))
-            * self.profile.derivative(tp)
-        )
-
-    def current_time_primitive(self, xp, tp) -> np.ndarray:
-        """Running time integral of J from switch-on to tp."""
-        return self._directed(
-            self.amplitude
-            * np.asarray(self.envelope.value(xp))
-            * self.profile.primitive(tp)
-        )
-
-    def current_divergence(self, xp, tp):
-        grad = self.envelope.gradient(xp)
-        return _scalarize(
-            np.asarray(
-                self.amplitude * (grad @ self.polarization) * self.profile.value(tp)
-            )
-        )
+    def charge_gradient_factor(self, nodes) -> np.ndarray:
+        """-A * (H . p_hat)(x'), a 3-vector per node: grad rho = this * F(t)."""
+        return -self.amplitude * (self.envelope.hessian(nodes) @ self.polarization)
 
     def charge_density(self, xp, tp):
         """Charge reconstructed from charge conservation; zero at switch-on."""
-        grad = self.envelope.gradient(xp)
-        return _scalarize(
-            np.asarray(
-                -self.amplitude * (grad @ self.polarization) * self.profile.primitive(tp)
-            )
-        )
+        return _scalarize(np.asarray(self.charge_factor(xp) * self.profile.primitive(tp)))
 
-    def charge_gradient(self, xp, tp) -> np.ndarray:
-        """Spatial gradient of the charge density at frozen time tp."""
-        hess = self.envelope.hessian(xp)
-        hp = hess @ self.polarization
-        return -self.amplitude * np.asarray(self.profile.primitive(tp))[..., None] * hp
+    def current_divergence(self, xp, tp):
+        return _scalarize(np.asarray(-self.charge_factor(xp) * self.profile.value(tp)))
 
     def boundary_leakage(self) -> float:
         """Peak |J| on the domain boundary relative to peak |J| inside.
@@ -471,9 +451,8 @@ class SourceModel:
         hypothesis behind the equivalence of the two field representations.
         Defined as 0 for an identically zero source.
         """
-        scale = abs(self.amplitude)
-        boundary = scale * np.max(np.abs(self.envelope.value(self.domain.boundary_points())))
-        interior = scale * np.max(np.abs(self.envelope.value(self.domain.interior_points())))
+        boundary = np.max(np.abs(self.current_factor(self.domain.boundary_points())))
+        interior = np.max(np.abs(self.current_factor(self.domain.interior_points())))
         if interior == 0.0:
             return 0.0
         return float(boundary / interior)

@@ -239,6 +239,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="base_order"):
             parse_config(text)
 
+    def test_one_rung_ladder_rejected(self):
+        # the ladder steps by 2, so max_order = base_order + 1 evaluates one
+        # order and has no error estimate
+        text = MINIMAL + "\n[quadrature]\nbase_order = 6\nmax_order = 7\n"
+        with pytest.raises(ConfigError, match=r"max_order: must be at least base_order \+ 2"):
+            parse_config(text)
+        assert parse_config(text.replace("max_order = 7", "max_order = 8")).max_order == 8
+
+    @pytest.mark.parametrize("key, value", [("domain_center", "0 0 0"), ("domain_radius", "2")])
+    def test_box_rejects_ball_keys(self, key, value):
+        box = "sigma = 0.05\ndomain = box\ndomain_lo = -1 -1 -1\ndomain_hi = 1 1 1"
+        text = MINIMAL.replace("sigma = 0.05", f"{box}\n{key} = {value}")
+        with pytest.raises(ConfigError, match="given for a box domain"):
+            parse_config(text)
+
     def test_bad_times_spec(self):
         text = MINIMAL + "\n[observation]\ntimes = uniform 5 1 10\n"
         with pytest.raises(ConfigError, match="times"):

@@ -14,7 +14,7 @@ from legacy_fields import legacy_jefimenko_field, legacy_zone_field
 from retfield import sources
 from retfield.analysis import sample_waveforms
 from retfield.domains import Ball, Box
-from retfield.evaluators import KERNELS, JefimenkoKernel, ObservationPoint, zone_field
+from retfield.evaluators import KERNELS, JefimenkoKernel, ObservationPoint, ZoneKernel, zone_field
 from retfield.geometry import NATURAL, PhysicalConstants, double_gradient_kernel, far_kernel
 from retfield.quadrature import build_rule
 from retfield.sources import (
@@ -88,6 +88,25 @@ def test_matches_per_cell_formulas(representation, envelope, pulse):
     assert np.abs(series.fields - expected).max() <= ORACLE_RTOL * peak
     # ahead of the front both are exactly zero
     assert not np.any(series.fields[:, 0]) and not np.any(expected[:, 0])
+
+
+@pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+def test_kernel_weights_are_rule_weights_times_source_factors(envelope, monkeypatch):
+    """Both kernels take their node factors from SourceModel, bit for bit;
+    the zones kernel never evaluates the Hessian."""
+    src = source(envelope)
+    rule = build_rule(src.domain, 8)
+    current = rule.weights * src.current_factor(rule.nodes)
+    charge = rule.weights[:, None] * src.charge_gradient_factor(rule.nodes)
+    jefimenko = JefimenkoKernel(src, rule, NATURAL)
+    assert jefimenko.weighted.tobytes() == current.tobytes()
+    assert jefimenko.charge_weights.tobytes() == charge.tobytes()
+
+    def no_hessian(self, points):
+        raise AssertionError("the zones kernel evaluated the Hessian")
+
+    monkeypatch.setattr(type(src.envelope), "hessian", no_hessian)
+    assert ZoneKernel(src, rule, NATURAL).weighted.tobytes() == current.tobytes()
 
 
 @pytest.mark.parametrize("pulse", sorted(PULSES))

@@ -299,6 +299,12 @@ class TestRefinedField:
         with pytest.raises(ValueError, match="base order"):
             refined_field("zones", src, obs, base_order=8, max_order=8)
 
+    def test_rejects_one_rung_ladder(self, src):
+        # orders 8 and 9 would evaluate order 8 only: no error estimate
+        obs = ObservationPoint(x=(2, 0, 0), t=5.0)
+        with pytest.raises(ValueError, match="at least 2 below"):
+            refined_field("zones", src, obs, base_order=8, max_order=9)
+
     def test_non_convergence_raises(self, src, monkeypatch):
         # a total that moves further with every order: the ladder stalls
         def diverging(src, obs, rule, constants=NATURAL):

@@ -25,6 +25,32 @@ def gaussian_source(sigma=0.1, tau=4.0, amplitude=1.0, domain_sigmas=8.0):
     )
 
 
+def both_envelope_sources():
+    """A smooth and a truncated source, off-centre and tilted."""
+    pol = np.array([0.36, -0.48, 0.8])
+    envelopes = (
+        GaussianEnvelope(center=(0.1, -0.2, 0.05), sigma=0.3),
+        TruncatedGaussianEnvelope(center=(0.1, -0.2, 0.05), sigma=0.3, cut_radius=0.45),
+    )
+    pulse, domain = SineSquaredPulse(t_on=1.0, tau=4.0), Ball((0.1, -0.2, 0.05), 2.4)
+    return [SourceModel(env, pulse, pol, -1.7, domain) for env in envelopes]
+
+
+def inside_cut(src, seed, count=60):
+    """Random points up to 0.9 cut radii (1.35 sigma if smooth) from the centre."""
+    env = src.envelope
+    reach = 0.9 * getattr(env, "cut_radius", 1.5 * env.sigma)
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(count, 3))
+    d *= reach * rng.uniform(0.0, 1.0, (count, 1)) / np.linalg.norm(d, axis=1)[:, None]
+    return env.center + d
+
+
+def finite_difference_gradient(fn, xp, h=1e-6):
+    """Central differences of ``fn`` along x, y and z at ``xp``, on the last axis."""
+    return np.stack([(fn(xp + e) - fn(xp - e)) / (2 * h) for e in h * np.eye(3)], axis=-1)
+
+
 def gauss_legendre_time_integral(fn, a, b, n=200):
     """Independent high-order quadrature for time primitives."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -261,62 +287,22 @@ class TestSourceModel:
             )
 
     def test_current_zero_before_switch_on(self):
+        # J = p_hat * current_factor * f; dJ/dt and int J dt carry f' and F
         src = gaussian_source()
-        np.testing.assert_array_equal(src.current((0.05, 0, 0), 0.0), np.zeros(3))
-        np.testing.assert_array_equal(src.current_time_derivative((0.05, 0, 0), 0.9), np.zeros(3))
-        np.testing.assert_array_equal(src.current_time_primitive((0.05, 0, 0), 1.0), np.zeros(3))
+        factor = src.current_factor((0.05, 0, 0))
+        assert factor > 0.0
+        for tp in (0.0, 0.9, 1.0):
+            assert all(np.all(factor * q == 0.0) for q in src.profile.evaluate(tp))
 
     def test_current_at_center_and_peak(self):
         src = gaussian_source(amplitude=2.5)
         # peak of the sine-squared burst reaches exactly 1
-        np.testing.assert_allclose(src.current((0, 0, 0), 3.0), [0, 0, 2.5])
+        current = src.polarization * src.current_factor((0, 0, 0)) * src.profile.value(3.0)
+        np.testing.assert_allclose(current, [0, 0, 2.5])
 
     def test_current_decay_far_outside_envelope(self):
         src = gaussian_source(sigma=0.1)
-        value = src.current((1.0, 0, 0), 3.0)  # 10 sigma out
-        assert np.linalg.norm(value) < np.exp(-50) * 1.001
-
-    def test_separability(self):
-        src = gaussian_source()
-        rng = np.random.default_rng(51)
-        for _ in range(50):
-            xp = rng.uniform(-0.3, 0.3, 3)
-            t1, t2 = rng.uniform(1.0, 5.0, 2)
-            lhs = src.current(xp, t1) * src.profile.value(t2)
-            rhs = src.current(xp, t2) * src.profile.value(t1)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-15)
-
-    def test_time_derivative_matches_finite_difference(self):
-        src = gaussian_source()
-        rng = np.random.default_rng(52)
-        h = 1e-6
-        for _ in range(100):
-            xp = rng.uniform(-0.4, 0.4, 3)
-            tp = rng.uniform(1.1, 4.9)
-            fd = (src.current(xp, tp + h) - src.current(xp, tp - h)) / (2 * h)
-            np.testing.assert_allclose(
-                src.current_time_derivative(xp, tp), fd, rtol=1e-7, atol=1e-9
-            )
-
-    def test_time_primitive_matches_numeric_integration(self):
-        src = gaussian_source()
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            xp = rng.uniform(-0.3, 0.3, 3)
-            tp = rng.uniform(1.2, 6.0)
-            expected = np.array(
-                [
-                    gauss_legendre_time_integral(
-                        lambda t: np.array([src.current(xp, ti)[k] for ti in np.atleast_1d(t)]),
-                        1.0,
-                        min(tp, 5.0),
-                    )
-                    for k in range(3)
-                ]
-            )
-            np.testing.assert_allclose(
-                src.current_time_primitive(xp, tp), expected, rtol=1e-9, atol=1e-14
-            )
+        assert src.current_factor((1.0, 0, 0)) < np.exp(-50) * 1.001  # 10 sigma out
 
     def test_charge_density_zero_at_center_and_before_onset(self):
         src = gaussian_source()
@@ -334,27 +320,25 @@ class TestSourceModel:
         assert abs(total) < 1e-12 * scale
 
     def test_charge_gradient_matches_finite_difference(self):
-        src = gaussian_source()
-        rng = np.random.default_rng(54)
-        h = 1e-6
-        for _ in range(100):
-            xp = rng.uniform(-0.4, 0.4, 3)
-            tp = rng.uniform(1.1, 6.0)
-            fd = np.array(
-                [
-                    (
-                        src.charge_density(xp + h * np.eye(3)[k], tp)
-                        - src.charge_density(xp - h * np.eye(3)[k], tp)
-                    )
-                    / (2 * h)
-                    for k in range(3)
-                ]
-            )
-            np.testing.assert_allclose(src.charge_gradient(xp, tp), fd, rtol=1e-6, atol=1e-9)
+        # grad rho = charge_gradient_factor * F, rho = charge_factor * F
+        for src in both_envelope_sources():
+            for xp in inside_cut(src, 54):
+                fd = finite_difference_gradient(src.charge_factor, xp)
+                np.testing.assert_allclose(
+                    src.charge_gradient_factor(xp), fd, rtol=1e-6, atol=1e-8
+                )
+
+    def test_charge_factor_is_minus_divergence_of_current_factor(self):
+        # rho = -int div J dt: ties the kernels' current columns to the
+        # charge columns
+        for src in both_envelope_sources():
+            for xp in inside_cut(src, 57):
+                fd = finite_difference_gradient(src.current_factor, xp) @ src.polarization
+                assert src.charge_factor(xp) == pytest.approx(-fd, rel=1e-6, abs=1e-8)
 
     def test_charge_gradient_parallel_to_polarization_at_center(self):
         src = gaussian_source()
-        grad = src.charge_gradient((0.0, 0.0, 0.0), 3.0)
+        grad = src.charge_gradient_factor((0.0, 0.0, 0.0)) * src.profile.primitive(3.0)
         assert abs(grad[0]) < 1e-16 and abs(grad[1]) < 1e-16
         assert grad[2] != 0.0
 
@@ -373,15 +357,18 @@ class TestSourceModel:
             assert abs(residual) < 1e-6 * scale
 
     def test_compact_temporal_support_is_exact(self):
+        # before switch-on every density is a nonzero factor times an
+        # exactly zero pulse quantity
         src = gaussian_source()
         rng = np.random.default_rng(56)
-        for _ in range(200):
-            xp = rng.uniform(-0.5, 0.5, 3)
-            tp = rng.uniform(-3.0, 1.0)
-            assert np.all(src.current(xp, tp) == 0.0)
-            assert np.all(src.current_time_derivative(xp, tp) == 0.0)
-            assert src.charge_density(xp, tp) == 0.0
-            assert np.all(src.charge_gradient(xp, tp) == 0.0)
+        xp, tp = rng.uniform(-0.5, 0.5, (200, 3)), rng.uniform(-3.0, 1.0, 200)
+        primitive, value, rate = src.profile.evaluate(tp)
+        assert np.all(src.current_factor(xp) > 0.0)
+        assert np.all(src.current_factor(xp) * value == 0.0)
+        assert np.all(src.current_factor(xp) * rate == 0.0)
+        assert np.all(src.charge_factor(xp) * primitive == 0.0)
+        assert np.all(src.charge_gradient_factor(xp) * primitive[:, None] == 0.0)
+        assert np.all(src.charge_density(xp, tp) == 0.0)
 
 
 class TestBoundaryLeakage:
