@@ -111,8 +111,8 @@ class ZoneKernel:
         """Delays R/c and, for p = 3, 2, 1, the (4, nodes) columns
         [wAg/R^p, theta (theta . p_hat) wAg/R^p]."""
         r, theta = _frame(self.src, self.rule, x)
-        # C order throughout: the block summation's einsum is several times
-        # slower on strided columns
+        # C order throughout: the sums gather rows of the columns when they
+        # sort them by delay
         along = np.ascontiguousarray((theta * (theta @ self.src.polarization)[:, None]).T)
         columns = []
         for p in (3, 2, 1):

@@ -33,7 +33,6 @@ from .analysis import (
 )
 from .config import RunConfig
 from .evaluators import ObservationPoint, normalized_residual, refined_field
-from .sources import block_height
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +82,8 @@ class RunReport:
     output_directory: str = ""
     tasks: list[TaskReport] = field(default_factory=list)
     #: Per sampled representation: seconds, cells, nodes, node_evals_per_s,
-    #: the pulse's summation ("prefix" or "block") and, for "block", the
-    #: time-block height.
+    #: the pulse's summation ("prefix" or "moments") and, for "moments", the
+    #: most delay moments any radius keeps.
     profile: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def any_errors(self) -> bool:
@@ -321,8 +320,9 @@ def run_tasks(
             "node_evals_per_s": cells * len(rule) / seconds,
             "summation": summation,
         }
-        if summation == "block":
-            report.profile[representation]["block_height"] = block_height(len(rule))
+        if summation == "moments":
+            spread = src.domain.diameter() / constants.c
+            report.profile[representation]["moments"] = src.profile.most_moments(spread)
         return series
 
     for name in config.tasks:

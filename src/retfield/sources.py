@@ -13,14 +13,18 @@ density is a spatial factor of ``SourceModel`` times a pulse quantity:
 ``grad rho = charge_gradient_factor * F``; the field kernels weight the
 same factors by the quadrature weights.
 
-The field engine never evaluates a pulse node by node itself: it hands a
-pulse the delays R/c and kernel columns of one observation point and asks
-for the node sums of ``F``, ``f`` and ``f'`` against those columns at a set
-of times (``column_sums``).  The sine-squared pulse forms them from prefix
-sums over the nodes sorted by delay (``prefix_sums``), in O(N log N + k N
-+ T k) for N nodes, k columns and T times; the derivative-of-Gaussian
-pulse evaluates itself on (times x nodes) blocks of retarded times and
-reduces them with ``einsum`` (``block_sums``), in O(T N k).
+The field engine never evaluates a pulse node by node: it hands a pulse the
+delays R/c and kernel columns of one observation point and asks for the
+node sums of ``F``, ``f`` and ``f'`` against those columns at a set of
+times (``column_sums``).  Both pulses form them from sums over the nodes
+sorted by delay, read only at the ends of the run of nodes the pulse is
+on at each time.  The sine-squared pulse uses prefix sums of c, c d and
+c times a sine and cosine of the delay (``prefix_sums``), in
+O(N log N + k N + T k) for N nodes, k columns and T times.  The
+derivative-of-Gaussian pulse cuts the sorted nodes into slabs a pulse
+width long and expands the Gaussian about each slab's midpoint in
+Hermite polynomials (``moment_sums``), in O(N log N + K k N + T K k) for
+K delay moments per slab.
 """
 
 from __future__ import annotations
@@ -42,44 +46,39 @@ _GAUSS_CLIP_SIGMAS = 8.0
 _CUT_SLACK_EPS = 8.0
 
 
-#: Entries of one (times x nodes) block of retarded times in ``block_sums``.
-#: It bounds the working set of a sampling (128 KB per block array) whatever
-#: the grid; on a 2 MB-L2 x86 core, blocks of 2**15 entries and up ran
-#: 1.5-2x slower.
-BLOCK_ELEMENTS = 1 << 14
-
-
 def _scalarize(a: np.ndarray):
     return float(a) if a.ndim == 0 else a
 
 
-def block_height(n_nodes: int) -> int:
-    """Observation times per block, so a block holds ~BLOCK_ELEMENTS entries."""
-    return max(1, BLOCK_ELEMENTS // n_nodes)
+def _marks(n_nodes: int, *ends) -> np.ndarray:
+    """The node indices, from 0 to ``n_nodes``, at which prefix sums are read.
 
-
-def block_sums(pulse, delays: np.ndarray, columns, times: np.ndarray):
-    """Node sums of ``pulse`` against kernel columns at each of ``times``.
-
-    ``columns`` holds, for F, f and f' in that order, a (k, nodes) array of
-    columns or None; the result holds a (times, k) array of sums, or None,
-    in each place.  The pulse is evaluated on blocks of ``block_height``
-    times x all nodes of retarded times ``t - delays``.  einsum sums each
-    output row on its own, so a row comes out bit for bit the same whatever
-    the block height; a BLAS matmul does not promise that.
+    Prefix sums over sorted nodes are read only at run ends, so the nodes
+    are summed between consecutive ends (pairwise, by reduceat) and only
+    those few segment sums are accumulated.  marks[i] is the node index of
+    prefix i.  (np.unique would load a module that costs ~1.6 MB of
+    resident memory.)
     """
-    height = block_height(delays.size)
-    sums = [None if cols is None else np.empty((times.size, len(cols))) for cols in columns]
-    for j in range(0, times.size, height):
-        block = pulse.evaluate(times[j : j + height, None] - delays)
-        for out, values, cols in zip(sums, block, columns):
-            if cols is not None:
-                out[j : j + height] = np.einsum("tn,kn->tk", values, cols)
-    return sums
+    is_mark = np.zeros(n_nodes + 1, dtype=bool)
+    is_mark[[0, -1]] = True
+    for end in ends:
+        is_mark[end] = True
+    return np.flatnonzero(is_mark)
+
+
+def _running(segments: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, from 0 before the first segment."""
+    out = np.zeros(segments.shape[:-1] + (segments.shape[-1] + 1,))
+    np.cumsum(segments, axis=-1, out=out[..., 1:])
+    return out
 
 
 def prefix_sums(pulse: "SineSquaredPulse", delays: np.ndarray, columns, times: np.ndarray):
-    """The sums of ``block_sums`` for a sine-squared pulse, from prefix sums.
+    """Node sums of F, f and f' of a sine-squared pulse, from prefix sums.
+
+    ``columns`` holds, for F, f and f' in that order, a (k, nodes) array of
+    columns or None; the result holds a (times, k) array of sums, or None,
+    in each place.
 
     The nodes are sorted by delay, and d below is a delay's offset from the
     smallest, d0, so that the angles stay of order (delay spread + tau)/tau
@@ -92,8 +91,7 @@ def prefix_sums(pulse: "SineSquaredPulse", delays: np.ndarray, columns, times: n
     made of differences of prefix sums of c, c d, c cos(beta) and
     c sin(beta), read at a and b; no pulse value is taken per node and
     time.  A time whose run is empty (ahead of the light front, or after
-    every burst) gets exact zeros for f and f', and for F before the front:
-    the bits ``block_sums`` gives there.
+    every burst) gets exact zeros for f and f', and for F before the front.
     """
     order = np.argsort(delays)
     offsets = delays[order]
@@ -112,23 +110,13 @@ def prefix_sums(pulse: "SineSquaredPulse", delays: np.ndarray, columns, times: n
     alpha = angular * s_run
     sin_alpha, cos_alpha = np.sin(alpha), np.cos(alpha)
 
-    # Prefix sums are read only at the run ends, so the nodes are summed
-    # between consecutive ends (pairwise, by reduceat) and only those few
-    # segment sums are accumulated.  marks[i] is the node index of prefix
-    # i, from 0 to the node count.  (np.unique would load a module that
-    # costs ~1.6 MB of resident memory.)
-    is_mark = np.zeros(offsets.size + 1, dtype=bool)
-    is_mark[[0, -1]] = True
-    is_mark[after] = is_mark[end] = True
-    marks = np.flatnonzero(is_mark)
+    marks = _marks(offsets.size, after, end)
     before = np.searchsorted(marks, after)
     lo, hi = before[run], np.searchsorted(marks, end[run])
 
     def prefix(weighted):
         """Sums of ``weighted`` (sorted nodes) over the nodes before each mark."""
-        out = np.zeros(marks.size)
-        np.cumsum(np.add.reduceat(weighted, marks[:-1]), out=out[1:])
-        return out
+        return _running(np.add.reduceat(weighted, marks[:-1]))
 
     def run_sums(weighted):
         p = prefix(weighted)
@@ -156,6 +144,152 @@ def prefix_sums(pulse: "SineSquaredPulse", delays: np.ndarray, columns, times: n
                 out[run, j] = 0.5 * (run_sums(col) - c_cos_u)
             else:
                 out[run, j] = (np.pi / tau) * sin_u
+        sums.append(out)
+    return sums
+
+
+#: Cramér's constant: |He_n(u)| exp(-u^2/4) <= _CRAMER sqrt(n!) for all n, u.
+_CRAMER = 1.0865
+
+#: Bound on the Hermite terms ``moment_sums`` drops, relative to the sum of
+#: |c| over the nodes (times the pulse's own scale: w, 1 or 1/w).
+_MOMENT_TOL = 2.0**-53
+
+
+def moment_count(x_max: float) -> int:
+    """Delay moments K that ``moment_sums`` keeps when no node is more than
+    ``x_max`` pulse widths from its slab's midpoint.
+
+    By Cramér's inequality, term k of the expansion of f' is at most
+    _CRAMER x^k sqrt((k + 2)!)/k! times the sum of |c|, and of F and f at
+    most that.  From k on, each term is at most r_k = x sqrt(k + 3)/(k + 1)
+    times the one before, so the terms from K on add up to at most
+    term_K/(1 - r_K); K is the first k at which that is within _MOMENT_TOL.
+    """
+    k, term = 0, _CRAMER * math.sqrt(2.0)
+    while True:
+        ratio = x_max * math.sqrt(k + 3) / (k + 1)
+        if ratio < 1.0 and term <= _MOMENT_TOL * (1.0 - ratio):
+            return k
+        k += 1
+        term *= x_max * math.sqrt(k + 2) / k
+
+
+def _first_holding(delays: np.ndarray, first: np.ndarray, holds) -> np.ndarray:
+    """For each time, the first sorted node at which ``holds`` (false, then
+    true along the nodes) is true, or the node count; found by moving the
+    guess ``first`` (updated in place) over whole runs of tied delays,
+    which share every value."""
+    n = delays.size
+    while True:
+        back = first > 0
+        back[back] = holds(first[back] - 1, back)
+        ahead = first < n
+        ahead[ahead] = ~holds(first[ahead], ahead)
+        if not (back.any() or ahead.any()):
+            return first
+        first[back] = np.searchsorted(delays, delays[first[back] - 1], side="left")
+        first[ahead] = np.searchsorted(delays, delays[first[ahead]], side="right")
+
+
+def moment_sums(pulse: "DifferentiatedGaussianPulse", delays: np.ndarray, columns, times):
+    """Node sums of F, f and f' of a derivative-of-Gaussian pulse, from
+    delay moments; ``columns`` and the result are as in ``prefix_sums``.
+
+    With B(u) = exp(-u^2/2) and u = (t - d - center)/w for a node of delay
+    d, the clipped pulse is F = w (B - B(8)), f = B'(u) and f' = B''(u)/w
+    where |u| < 8, and zero elsewhere.  The nodes are sorted by delay and
+    cut into slabs no wider than w.  About a slab's midpoint d0, with
+    x = (d - d0)/w and u0 = (t - d0 - center)/w,
+
+        B^(j)(u0 - x) = (-1)^j B(u0) sum_k He_{j+k}(u0) x^k / k!,
+
+    whose terms Cramér's inequality bounds for |x| <= 1/2 (``moment_count``
+    picks how many to keep).  The nodes inside the clip at one time are a
+    run [a, b) of the sorted nodes, found with the pulse's own rounding of
+    u, so it spans whole slabs and at most a part of one at each end.  The
+    moments sum c x^k/k! of each slab's part of the run are differences of
+    prefix sums read at a, b and the slab ends; no pulse value is taken per
+    node and time.  A time whose run is empty (ahead of the light front,
+    or after the pulse has left every node) gets exact +0.0 sums.
+    """
+    w, clip = pulse.width, _GAUSS_CLIP_SIGMAS
+    order = np.argsort(delays)
+    ordered = delays[order]
+    n = ordered.size
+    offsets = ordered - ordered[0]
+
+    # a slab is the nodes of one bin [i w, (i + 1) w) of the offsets
+    new_bin = np.diff(np.floor(offsets / w), prepend=-1.0) != 0.0
+    starts = np.flatnonzero(new_bin)
+    slab = np.cumsum(new_bin) - 1
+    ends = np.append(starts[1:], n)
+    mids = 0.5 * (offsets[starts] + offsets[ends - 1])
+    x = (offsets - mids[slab]) / w
+    count = moment_count(float(np.abs(x).max()))
+    inverse_factorials = 1.0 / np.cumprod(np.maximum(np.arange(count), 1.0))
+
+    def u(node, at):
+        return ((times[at] - ordered[node]) - pulse.center) / w
+
+    shift = times - pulse.center
+    a = _first_holding(
+        ordered,
+        np.searchsorted(ordered, shift - clip * w, side="right"),
+        lambda node, at: u(node, at) < clip,
+    )
+    b = _first_holding(
+        ordered,
+        np.searchsorted(ordered, shift + clip * w, side="left"),
+        lambda node, at: u(node, at) <= -clip,
+    )
+    run = np.flatnonzero(a < b)
+    a, b = a[run], b[run]
+
+    # one (time, slab) pair per slab the run of a time meets, grouped by time
+    first = slab[a]
+    counts = slab[b - 1] - first + 1
+    group = np.cumsum(counts) - counts
+    pair_time = np.repeat(np.arange(run.size), counts)
+    pair_slab = first[pair_time] + np.arange(counts.sum()) - group[pair_time]
+    marks = _marks(n, starts, a, b)
+    lo = np.searchsorted(marks, np.maximum(a[pair_time], starts[pair_slab]))
+    hi = np.searchsorted(marks, np.minimum(b[pair_time], ends[pair_slab]))
+
+    # B(u0) He_n(u0), n = 0 .. count + 1, by the three-term recurrence
+    u0 = ((shift[run] - ordered[0])[pair_time] - mids[pair_slab]) / w
+    hermite = np.empty((count + 2, u0.size))
+    hermite[0] = np.exp(-0.5 * u0 * u0)
+    hermite[1] = u0 * hermite[0]
+    for k in range(1, count + 1):
+        hermite[k + 1] = u0 * hermite[k] - k * hermite[k - 1]
+    floor = math.exp(-0.5 * clip**2)
+
+    # One column at a time keeps the working set small whatever the column
+    # count.
+    sums = []
+    for kind, cols in enumerate(columns):
+        if cols is None:
+            sums.append(None)
+            continue
+        scale = (w, -1.0, 1.0 / w)[kind]
+        out = np.zeros((times.size, len(cols)))
+        if run.size:
+            for j, col in enumerate(cols):
+                # c x^k one power at a time keeps the working set at a few
+                # node-length arrays
+                term = col[order]
+                segments = np.empty((count, marks.size - 1))
+                for k in range(count):
+                    if k:
+                        term *= x
+                    np.add.reduceat(term, marks[:-1], out=segments[k])
+                prefix = _running(segments * inverse_factorials[:, None])
+                moments = prefix[:, hi] - prefix[:, lo]
+                pairs = np.sum(moments * hermite[kind : kind + count], axis=0)
+                if kind == 0:
+                    pairs -= floor * moments[0]
+                out[run, j] = scale * np.add.reduceat(pairs, group)
         sums.append(out)
     return sums
 
@@ -219,19 +353,25 @@ class DifferentiatedGaussianPulse:
     tau: float
 
     #: How ``column_sums`` forms its sums, as ``report.json`` names it.
-    summation = "block"
+    summation = "moments"
 
     def __post_init__(self):
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError(f"pulse duration must be positive, got {self.tau}")
 
     def column_sums(self, delays, columns, times):
-        """Node sums of F, f and f' against kernel columns (``block_sums``).
+        """Node sums of F, f and f' against kernel columns (``moment_sums``).
 
         exp(-u^2/2) does not split into a factor per node times a factor
-        per time without overflow, so this pulse is evaluated per entry.
+        per time without overflow, but about a point a width away at most
+        it is a short Hermite series in the delay.
         """
-        return block_sums(self, delays, columns, times)
+        return moment_sums(self, delays, columns, times)
+
+    def most_moments(self, delay_spread: float) -> int:
+        """The most delay moments ``column_sums`` keeps for delays that span
+        at most ``delay_spread``: no slab is wider than that or a width."""
+        return moment_count(min(0.5, 0.5 * delay_spread / self.width))
 
     @property
     def width(self) -> float:
@@ -244,30 +384,18 @@ class DifferentiatedGaussianPulse:
     def evaluate(self, t):
         """Primitive F, value f and derivative f' at ``t``, as arrays.
 
-        One exponential serves all three; every entry outside the clipped
-        support is exactly +0.0.  This runs on every node at every sampled
-        time, so it works in place on flat temporaries (a 0-d ``t`` becomes
-        one element) and restores the shape of ``t`` at the end.
+        One exponential serves all three, taken only inside the clipped
+        support; every entry outside it is exactly +0.0.
         """
-        t = np.asarray(t, dtype=float)
-        u = (t.ravel() - self.center) / self.width
-        outside = np.abs(u) >= _GAUSS_CLIP_SIGMAS
-        u2 = u * u
-        bump = np.exp(-0.5 * u2)
-        bump[outside] = 0.0
-        primitive = bump - math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2)
-        primitive *= self.width
-        primitive[outside] = 0.0
-        # Outside the support x * bump is -0.0 for x < 0; adding +0.0 makes
-        # it +0.0 and leaves every nonzero value as it is.
-        value = np.negative(u, out=u)
-        value *= bump
-        value += 0.0
-        rate = np.subtract(u2, 1.0, out=u2)
-        rate /= self.width
-        rate *= bump
-        rate += 0.0
-        return tuple(a.reshape(t.shape) for a in (primitive, value, rate))
+        u = (np.asarray(t, dtype=float) - self.center) / self.width
+        inside = np.abs(u) < _GAUSS_CLIP_SIGMAS
+        primitive, value, rate = np.zeros(u.shape), np.zeros(u.shape), np.zeros(u.shape)
+        u_in = u[inside]
+        bump = np.exp(-0.5 * u_in * u_in)
+        primitive[inside] = self.width * (bump - math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2))
+        value[inside] = -u_in * bump
+        rate[inside] = (u_in * u_in - 1.0) / self.width * bump
+        return primitive, value, rate
 
     def value(self, t):
         return _scalarize(self.evaluate(t)[1])

@@ -5,7 +5,9 @@ Each call evaluates one observation point: it recomputes the node frame,
 the envelope and (for Jefimenko) the Hessian, and sums with ``np.sum`` and
 BLAS matrix-vector products.  The engine reorders those sums, so the two
 agree to rounding, not bit for bit.  The pulse formulas are frozen too, in
-``legacy_pulse``.  Do not edit these bodies to follow the package.
+``legacy_pulse``, and so is the block summation the engine used before
+each pulse summed its nodes itself, in ``block_sums``.  Do not edit these
+bodies to follow the package.
 """
 
 from __future__ import annotations
@@ -36,6 +38,30 @@ def legacy_pulse(profile, t):
     tail = math.exp(-0.5 * 8.0**2)
     primitive = np.where(inside, profile.width * (np.exp(-0.5 * u * u) - tail), 0.0)
     return primitive, value, rate
+
+
+#: Entries of one (times x nodes) block of retarded times in ``block_sums``.
+BLOCK_ELEMENTS = 1 << 14
+
+
+def block_sums(pulse, delays, columns, times):
+    """Node sums of ``pulse`` against kernel columns at each of ``times``.
+
+    ``columns`` holds, for F, f and f' in that order, a (k, nodes) array of
+    columns or None; the result holds a (times, k) array of sums, or None,
+    in each place.  The pulse is evaluated per entry on blocks of times x
+    all nodes of retarded times ``t - delays``, each reduced with einsum.
+    It has the signature of a pulse's ``column_sums``, so a test can put it
+    in that method's place.
+    """
+    height = max(1, BLOCK_ELEMENTS // delays.size)
+    sums = [None if cols is None else np.empty((times.size, len(cols))) for cols in columns]
+    for j in range(0, times.size, height):
+        block = legacy_pulse(pulse, times[j : j + height, None] - delays)
+        for out, values, cols in zip(sums, block, columns):
+            if cols is not None:
+                out[j : j + height] = np.einsum("tn,kn->tk", values, cols)
+    return sums
 
 
 def _node_frame(x, t, rule, c):

@@ -1,15 +1,17 @@
 """The time-batched field engine against the frozen per-cell formulas and
-the kernel matrices, and its independence from block and thread layout.
+the kernel matrices, and its independence from thread layout.
 
 The sine-squared pulse is summed by prefix sums over delay-sorted nodes
-(``sources.prefix_sums``), the derivative-of-Gaussian pulse on blocks of
-retarded times (``sources.block_sums``); both are checked against the
-per-cell formulas, and the prefix path also against the block path.
+(``sources.prefix_sums``), the derivative-of-Gaussian pulse by delay
+moments over slabs of them (``sources.moment_sums``).  Both are checked
+against the per-cell formulas and against the frozen block path
+(``legacy_fields.block_sums``), and the moment sums also against direct
+node sums in extended precision.
 """
 
 import numpy as np
 import pytest
-from legacy_fields import legacy_jefimenko_field, legacy_zone_field
+from legacy_fields import block_sums, legacy_jefimenko_field, legacy_zone_field
 
 from retfield import sources
 from retfield.analysis import sample_waveforms
@@ -23,7 +25,6 @@ from retfield.sources import (
     SineSquaredPulse,
     SourceModel,
     TruncatedGaussianEnvelope,
-    block_sums,
 )
 
 #: Largest shift from the per-cell formulas, relative to the peak |E|.
@@ -155,17 +156,19 @@ def test_zone_terms_match_criterion_7_kernels():
 
 
 @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
-def test_block_and_thread_layout_do_not_change_fields(representation, monkeypatch):
+def test_thread_count_and_radius_alone_do_not_change_fields(representation):
+    """Each radius gets the same bits whatever the thread count and
+    whether it is sampled with the other radii or alone."""
     src = source("gaussian", "differentiated-gaussian")
     rule = build_rule(src.domain, 10)
-    kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)
-    reference = sample_waveforms(src, representation, **kwargs).fields.tobytes()
-    assert sources.block_height(len(rule)) > 1  # the default layout really is blocked
-    for block_elements in (1, 10**9):
-        monkeypatch.setattr(sources, "BLOCK_ELEMENTS", block_elements)
-        for threads in (1, 2, 4):
-            fields = sample_waveforms(src, representation, threads=threads, **kwargs).fields
-            assert fields.tobytes() == reference, (block_elements, threads)
+    kwargs = dict(times=TIMES, rule=rule, **RAY)
+    reference = sample_waveforms(src, representation, radii=RADII, **kwargs).fields
+    for threads in (2, 4):
+        series = sample_waveforms(src, representation, radii=RADII, threads=threads, **kwargs)
+        assert series.fields.tobytes() == reference.tobytes(), threads
+    for i, radius in enumerate(RADII):
+        alone = sample_waveforms(src, representation, radii=[radius], **kwargs).fields
+        assert alone[0].tobytes() == reference[i].tobytes(), radius
 
 
 def _edges(pulse, delays):
@@ -286,3 +289,155 @@ def test_exact_zeros_match_block_path(representation, monkeypatch):
     after = (slice(None), slice(None), burst_terms)
     assert prefix[after][post_burst].tobytes() == block[after][post_burst].tobytes()
     assert np.abs(prefix - block).max() <= ORACLE_RTOL * _peak(block)
+
+
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+def test_moment_sums_keep_block_path_zeros(representation, monkeypatch):
+    """On a grid that starts ahead of the light front and ends after the
+    derivative-of-Gaussian pulse has left every node, each cell the block
+    path leaves exactly zero has the same bits in the moment path; every
+    other cell agrees to rounding."""
+    src = source("box", "differentiated-gaussian", tau=2.0)
+    rule = build_rule(src.domain, 10)
+    kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)
+    moments = sample_waveforms(src, representation, **kwargs).fields
+    monkeypatch.setattr(DifferentiatedGaussianPulse, "column_sums", block_sums)
+    block = sample_waveforms(src, representation, **kwargs).fields
+    zero = np.all(block == 0.0, axis=(-2, -1))
+    assert zero.sum() >= 2 * RADII.size and not zero.all()
+    # cells both before the front and after the pulse are among them
+    assert zero[:, 0].all() and zero[:, -1].all()
+    assert moments[zero].tobytes() == block[zero].tobytes()
+    assert np.abs(moments - block).max() <= ORACLE_RTOL * _peak(block)
+
+
+def extended_sums(pulse, delays, columns, times):
+    """Direct node sums of F, f and f' in extended precision.  The clip is
+    applied per entry, on u as the pulse rounds it."""
+    inside = np.abs(((times[:, None] - delays) - pulse.center) / pulse.width) < 8.0
+    wide = np.longdouble
+    width = wide(pulse.width)
+    u = ((times.astype(wide)[:, None] - delays.astype(wide)) - wide(pulse.center)) / width
+    bump = np.where(inside, np.exp(-u * u / 2), wide(0))
+    values = (
+        np.where(inside, width * (bump - np.exp(wide(-32))), wide(0)),
+        -u * bump,
+        (u * u - 1) / width * bump,
+    )
+    return [None if c is None else v @ c.astype(wide).T for v, c in zip(values, columns)]
+
+
+def _delay_cases():
+    rng = np.random.default_rng(5)
+    pulse = DifferentiatedGaussianPulse(t_on=0.5, tau=8.0)  # width 0.5
+    w = pulse.width
+
+    def span(d):
+        """Times from before the pulse reaches the nearest node to after it
+        has left the farthest."""
+        return np.linspace(d.min() - 0.5, d.max() + pulse.tau + 0.5, 301)
+
+    many = 3.0 + rng.uniform(0.0, 40 * w, 400)
+    # the delays of one slab straddle the clip edge where the pulse starts
+    # (u = -8) at t_lead and the one where it ends (u = 8) at t_trail
+    slab = 3.0 + rng.uniform(0.0, 0.9 * w, 200)
+    t_lead = pulse.t_on + np.median(slab)
+    t_trail = t_lead + pulse.tau
+    astride = np.linspace(-0.4, 0.4, 41) * w
+    edges = np.concatenate([[t_lead - w], t_lead + astride, t_trail + astride, [t_trail + w]])
+    tied = 3.0 + rng.integers(0, 12, 300) * (0.37 * w)
+    one = np.array([3.25])
+    return {
+        "many-slabs": (pulse, many, span(many)),
+        "astride-clip-edges": (pulse, slab, edges),
+        "tied": (pulse, tied, span(tied)),
+        "one-node": (pulse, one, span(one)),
+        "no-times": (pulse, many, np.array([])),
+    }
+
+
+DELAY_CASES = _delay_cases()
+
+
+@pytest.mark.parametrize("case", sorted(DELAY_CASES))
+def test_moment_sums_match_extended_precision_direct_sums(case):
+    """Against direct sums in extended precision: within 8 ulp of the sum
+    of |c| (times w, 1, 1/w for F, f, f'), and within 1e-12 of the largest
+    sum, which only an exact clip meets where every node is near a clip
+    edge (sums ~1e-11).  +0.0 wherever no node is inside the clip."""
+    pulse, delays, times = DELAY_CASES[case]
+    rng = np.random.default_rng(9)
+    columns = [rng.standard_normal((k, delays.size)) for k in (3, 1, 2)]
+    got = pulse.column_sums(delays, columns, times)
+    expected = extended_sums(pulse, delays, columns, times)
+    none_inside = np.all(
+        np.abs(((times[:, None] - delays) - pulse.center) / pulse.width) >= 8.0, axis=1
+    )
+    for g, e, cols, scale in zip(got, expected, columns, (pulse.width, 1.0, 1.0 / pulse.width)):
+        assert g.shape == (times.size, len(cols)) and g.dtype == np.float64
+        e = e.astype(float)
+        bound = 8 * np.finfo(float).eps * scale * np.abs(cols).sum(axis=1)
+        assert np.all(np.abs(g - e) <= bound)
+        if times.size:
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+        assert np.all(g[none_inside] == 0.0) and not np.any(np.signbit(g[none_inside]))
+    if times.size:
+        assert 0 < none_inside.sum() < times.size
+
+
+def test_moment_sums_clip_each_node_as_the_pulse_does():
+    """At the times each node's u reaches +/-8, and at their float
+    neighbours (non-dyadic, so t - d rounds), a column that picks out one
+    node sums to that node's F, f and f' as per-entry evaluation gives
+    them: exactly zero wherever the node is outside the clip."""
+    rng = np.random.default_rng(13)
+    pulse = DifferentiatedGaussianPulse(t_on=0.3, tau=1.7)
+    delays = 1.1 + rng.uniform(0.0, 0.4, 40)
+    delays[::7] = delays[0]  # some tied
+    edges = np.concatenate([pulse.t_on + delays, pulse.t_on + pulse.tau + delays])
+    times = [edges]
+    for direction in (-np.inf, np.inf):
+        step = edges
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            times.append(step)
+    times = np.sort(np.concatenate(times))
+    columns = np.eye(delays.size)
+    got = pulse.column_sums(delays, (columns,) * 3, times)
+    expected = block_sums(pulse, delays, (columns,) * 3, times)
+    outside = expected[1] == 0.0
+    assert 2 * delays.size < outside.sum() < outside.size
+    for g, e, scale in zip(got, expected, (pulse.width, 1.0, 1.0 / pulse.width)):
+        assert np.abs(g - e).max() <= 8 * np.finfo(float).eps * scale
+        assert np.all(g[outside] == 0.0)
+
+
+def test_moment_count_follows_the_largest_slab_offset(monkeypatch):
+    """K comes from the largest |x| of the slabs actually cut: delays that
+    span 0.4 widths sit within 0.2 widths of their one slab's midpoint."""
+    pulse = DifferentiatedGaussianPulse(t_on=0.0, tau=16.0)  # width 1
+    delays = 2.0 + np.linspace(0.0, 0.4, 101)
+    reaches = []
+    count = sources.moment_count
+
+    def record(x_max):
+        reaches.append(x_max)
+        return count(x_max)
+
+    monkeypatch.setattr(sources, "moment_count", record)
+    pulse.column_sums(delays, (np.ones((1, delays.size)), None, None), np.linspace(0.0, 20.0, 9))
+    assert reaches == [pytest.approx(0.2, rel=1e-12)]
+    assert count(0.0) == 1
+    ladder = [count(x) for x in np.linspace(0.0, 0.5, 11)]
+    assert ladder == sorted(ladder) and count(0.2) < ladder[-1] <= 24
+
+
+def test_cramer_constant_bounds_hermite_polynomials():
+    """|He_n(u)| exp(-u^2/4) <= _CRAMER sqrt(n!) for the orders the moment
+    sums use, on a fine grid of u."""
+    u = np.linspace(-14.0, 14.0, 20001)
+    previous, current = np.zeros_like(u), np.ones_like(u)
+    for n in range(40):
+        bound = sources._CRAMER * np.sqrt(float(np.prod(np.arange(1, n + 1, dtype=float))))
+        assert np.all(np.abs(current) * np.exp(-u * u / 4) <= bound), n
+        previous, current = current, u * current - n * previous

@@ -11,7 +11,7 @@ from retfield.config import config_from_mapping, parse_config
 from retfield.evaluators import FieldDecomposition
 from retfield.quadrature import ConvergenceError, build_rule
 from retfield.runner import emit_waveform_csv, run_tasks, write_csv
-from retfield.sources import block_height
+from retfield.sources import moment_count
 
 QUICK = """
 [source]
@@ -110,14 +110,15 @@ class TestRunTasks:
             assert (tmp_path / "4" / name).read_bytes() == serial
 
     def test_report_profiles_each_sampling(self, tmp_path):
-        # the sine-squared pulse sums by prefix sums, the Gaussian in blocks
-        for kind, summation in [("sine-squared", "prefix"), ("differentiated-gaussian", "block")]:
+        # the sine-squared pulse sums by prefix sums, the Gaussian by moments
+        for kind, summation in [("sine-squared", "prefix"), ("differentiated-gaussian", "moments")]:
             text = QUICK.replace("tasks = decompose", "tasks = compare")
             config = parse_config(text.replace("tau = 8.0", f"kind = {kind}\ntau = 8.0"))
             run_tasks(config, output_dir=tmp_path / kind)
             report = json.loads((tmp_path / kind / "report.json").read_text())
             order = report["tasks"][0]["details"]["quadrature"]["order"]
-            nodes = len(build_rule(config.build_source().domain, order))
+            src = config.build_source()
+            nodes = len(build_rule(src.domain, order))
             profile = report["profile"]
             assert sorted(profile) == ["jefimenko", "zones"]
             for entry in profile.values():
@@ -127,10 +128,11 @@ class TestRunTasks:
                     entry["node_evals_per_s"]
                 )
                 assert entry["summation"] == summation
-                if summation == "block":
-                    assert entry["block_height"] == block_height(nodes)
+                if summation == "moments":
+                    # a ball 0.8 across and a width of 0.5: a slab can span a width
+                    assert entry["moments"] == moment_count(0.5)
                 else:
-                    assert "block_height" not in entry
+                    assert "moments" not in entry
 
     @pytest.mark.parametrize(
         "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]
