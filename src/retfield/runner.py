@@ -42,19 +42,43 @@ _CSV_HEADER = (
 )
 
 
+#: Rows compared and formatted together by ``write_csv``: enough to spread
+#: numpy's per-call cost, few enough that a block's text stays small.
+CSV_BLOCK_ROWS = 256
+
+
 def write_csv(path: Path | str, header: str, rows, suffix: str = "") -> Path:
     """Write ``header``, then one line per row of floats plus ``suffix``.
 
-    Floats carry 17 significant digits so values round-trip exactly.  Rows
-    are written one at a time, so no text copy of the table is held.
+    Floats carry 17 significant digits (``%.17g``) so values round-trip
+    exactly.  A value whose bits equal the value above it in its column
+    reuses that value's text, so only fresh values are formatted; a block
+    of ``CSV_BLOCK_ROWS`` rows is then written as one string.  Comparing
+    bits keeps ``0.0`` and ``-0.0`` apart.
     """
-    path = Path(path)
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + suffix + "\n"
+    if rows.ndim != 2:
+        raise ValueError(f"CSV rows must form a 2-D table, got shape {rows.shape}")
+    path = Path(path)
+    k = rows.shape[1]
+    line = ",".join(["%s"] * k) + suffix + "\n"
+    # The first block compares the first row with itself.
+    above, above_text = rows[:1], ["%.17g" % v for v in rows[:1].ravel().tolist()]
     with path.open("w") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(line % tuple(row))
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = np.concatenate([above, rows[start : start + CSV_BLOCK_ROWS]])
+            bits = block.view(np.int64)
+            fresh = np.ones(block.shape, dtype=bool)
+            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+            # Each entry's text is the pool entry of the last fresh value at
+            # or above it in its column; pool ranks grow down every column.
+            rank = np.cumsum(fresh).reshape(block.shape) - 1
+            source = np.maximum.accumulate(np.where(fresh, rank, 0), axis=0)[1:]
+            fresh_text = ["%.17g" % v for v in block[1:][fresh[1:]].tolist()]
+            texts = np.array(above_text + fresh_text, dtype=object)[source].ravel().tolist()
+            f.write((line * len(source)) % tuple(texts))
+            above, above_text = block[-1:], texts[len(texts) - k :]
     return path
 
 
@@ -85,6 +109,8 @@ class RunReport:
     #: the pulse's summation ("prefix" or "moments") and, for "moments", the
     #: most delay moments any radius keeps.
     profile: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: Per written artifact: the seconds its writer took and its bytes.
+    emission: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def any_errors(self) -> bool:
         return any(task.status == "error" for task in self.tasks)
@@ -96,6 +122,7 @@ class RunReport:
             "output_directory": self.output_directory,
             "tasks": [task.to_mapping() for task in self.tasks],
             "profile": self.profile,
+            "emission": self.emission,
         }
 
 
@@ -161,27 +188,21 @@ def _calibrate(src, config: RunConfig, constants):
     return rule, {"order": rule.order, "error_estimate": error, "tol": config.tol, "met": met}
 
 
-def _task_decompose(src, config, constants, sample, outdir, fmts) -> TaskReport:
+def _task_decompose(src, config, constants, sample, emit) -> TaskReport:
     report = TaskReport(name="decompose")
     series = sample(config.representation)
-    if "csv" in fmts:
-        name = f"waveform_{config.representation}.csv"
-        emit_waveform_csv(series, outdir / name)
-        report.artifacts.append(name)
+    emit(report, f"waveform_{config.representation}.csv", emit_waveform_csv, series)
     peak = float(np.abs(series.component()).max())
     report.details = {"representation": config.representation, "peak_component": peak}
     return report
 
 
-def _task_compare(src, config, constants, sample, outdir, fmts) -> TaskReport:
+def _task_compare(src, config, constants, sample, emit) -> TaskReport:
     report = TaskReport(name="compare")
     e_zone = sample("zones").total_field()
     e_jef = sample("jefimenko").total_field()
-    if "csv" in fmts:
-        for representation in ("zones", "jefimenko"):
-            name = f"waveform_{representation}.csv"
-            emit_waveform_csv(sample(representation), outdir / name)
-            report.artifacts.append(name)
+    for representation in ("zones", "jefimenko"):
+        emit(report, f"waveform_{representation}.csv", emit_waveform_csv, sample(representation))
     residuals = normalized_residual(e_zone, e_jef)
     report.details = {
         "residual_max": float(residuals.max()),
@@ -192,7 +213,7 @@ def _task_compare(src, config, constants, sample, outdir, fmts) -> TaskReport:
     return report
 
 
-def _task_frontcheck(src, config, constants, sample, outdir, fmts) -> TaskReport:
+def _task_frontcheck(src, config, constants, sample, emit) -> TaskReport:
     report = TaskReport(name="frontcheck")
     details = {}
     for representation in ("zones", "jefimenko"):
@@ -207,14 +228,12 @@ def _task_frontcheck(src, config, constants, sample, outdir, fmts) -> TaskReport
     return report
 
 
-def _task_velocity(src, config, constants, sample, outdir, fmts) -> TaskReport:
+def _task_velocity(src, config, constants, sample, emit) -> TaskReport:
     report = TaskReport(name="velocity")
     series = sample(config.representation)
     arrivals = feature_arrival_times(series, config.feature, config.window)
     profile = local_velocity(series.radii, arrivals, config.feature)
-    if "csv" in fmts:
-        emit_velocity_csv(profile, outdir / "velocity.csv")
-        report.artifacts.append("velocity.csv")
+    emit(report, "velocity.csv", emit_velocity_csv, profile)
     front = light_front_check(series, src, constants)
     finite = profile.velocities[np.isfinite(profile.velocities)]
     report.details = {
@@ -227,7 +246,7 @@ def _task_velocity(src, config, constants, sample, outdir, fmts) -> TaskReport:
     return report
 
 
-def _task_scaling(src, config, constants, sample, outdir, fmts) -> TaskReport:
+def _task_scaling(src, config, constants, sample, emit) -> TaskReport:
     """Fit falloff exponents: near in the static tail, the others at the pulse."""
     report = TaskReport(name="scaling")
     series = sample("zones")
@@ -245,14 +264,12 @@ def _task_scaling(src, config, constants, sample, outdir, fmts) -> TaskReport:
         "intermediate": zone_scaling_fit(series, "intermediate", moving_window),
         "far": zone_scaling_fit(series, "far", moving_window),
     }
-    if "csv" in fmts:
-        amplitudes = [
-            np.linalg.norm(series.term_field(term), axis=-1).max(axis=1)
-            for term in ("near", "intermediate", "far")
-        ]
-        rows = np.column_stack([series.radii, *amplitudes])
-        write_csv(outdir / "scaling.csv", "r,near,intermediate,far", rows)
-        report.artifacts.append("scaling.csv")
+    amplitudes = [
+        np.linalg.norm(series.term_field(term), axis=-1).max(axis=1)
+        for term in ("near", "intermediate", "far")
+    ]
+    rows = np.column_stack([series.radii, *amplitudes])
+    emit(report, "scaling.csv", lambda path: write_csv(path, "r,near,intermediate,far", rows))
     report.details = {
         "exponents": exponents,
         "static_window": list(static_window),
@@ -325,11 +342,21 @@ def run_tasks(
             report.profile[representation]["moments"] = src.profile.most_moments(spread)
         return series
 
+    def emit(task_report: TaskReport, name: str, writer, *args) -> None:
+        """Write one CSV artifact as ``writer(*args, path)``, if CSVs are on."""
+        if "csv" not in fmts:
+            return
+        start = time.perf_counter()
+        path = writer(*args, outdir / name)
+        seconds = time.perf_counter() - start
+        report.emission[name] = {"seconds": seconds, "bytes": path.stat().st_size}
+        task_report.artifacts.append(name)
+
     for name in config.tasks:
         task_report = TaskReport(name=name)
         start = time.perf_counter()
         try:
-            task_report = _TASK_RUNNERS[name](src, config, constants, sample, outdir, fmts)
+            task_report = _TASK_RUNNERS[name](src, config, constants, sample, emit)
         except Exception as exc:
             task_report.status = "error"
             task_report.details = {"error": f"{type(exc).__name__}: {exc}"}

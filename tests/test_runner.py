@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from retfield.config import config_from_mapping, parse_config
 from retfield.evaluators import FieldDecomposition
 from retfield.quadrature import ConvergenceError, build_rule
 from retfield.runner import emit_waveform_csv, run_tasks, write_csv
-from retfield.sources import moment_count
+from retfield.analysis import sample_waveforms
+from retfield.domains import Ball
+from retfield.sources import GaussianEnvelope, SineSquaredPulse, SourceModel, moment_count
 
 QUICK = """
 [source]
@@ -295,6 +298,23 @@ tasks = scaling decompose
             for artifact in task["artifacts"]:
                 assert (tmp_path / artifact).exists()
 
+    def test_report_records_each_artifacts_emission(self, tmp_path):
+        report = run_tasks(quick_config(tasks="compare"), output_dir=tmp_path)
+        mapping = json.loads((tmp_path / "report.json").read_text())
+        assert mapping["emission"] == report.emission
+        assert set(report.emission) == {"waveform_zones.csv", "waveform_jefimenko.csv"}
+        for name, entry in report.emission.items():
+            assert entry["bytes"] == (tmp_path / name).stat().st_size
+            assert entry["seconds"] > 0.0
+
+    def test_json_only_format_writes_no_csv(self, tmp_path):
+        config = parse_config(
+            QUICK.replace("directory = out", "directory = out\nformats = json")
+        )
+        report = run_tasks(config, output_dir=tmp_path)
+        assert report.emission == {} and report.tasks[0].artifacts == []
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_csv_only_format_skips_report(self, tmp_path):
         config = parse_config(
             QUICK.replace("directory = out", "directory = out\nformats = csv")
@@ -348,6 +368,79 @@ class TestWriteCsv:
     def test_header_only_for_no_rows(self, tmp_path):
         path = write_csv(tmp_path / "x.csv", "a,b", np.zeros((0, 2)))
         assert path.read_text() == "a,b\n"
+
+    def test_runs_crossing_row_blocks(self, tmp_path):
+        block = runner.CSV_BLOCK_ROWS
+        rows = np.zeros((3 * block + 5, 4))
+        rows[:, 0] = np.repeat([1.0, 2.5], [block - 3, 2 * block + 8])  # r
+        rows[:, 1] = np.arange(len(rows)) / 7.0  # no repeats
+        rows[block - 1 : 2 * block + 2, 2] = 0.1  # a run over two block ends
+        rows[block:, 3] = np.pi  # changes exactly at the first block start
+        path = write_csv(tmp_path / "x.csv", "a,b,c,d", rows, ",zones")
+        assert path.read_text() == frozen_csv("a,b,c,d", rows, ",zones")
+
+    def test_signed_zeros_alternate(self, tmp_path):
+        rows = np.zeros((2 * runner.CSV_BLOCK_ROWS + 1, 2))
+        rows[1::2, 0] = -0.0
+        rows[: runner.CSV_BLOCK_ROWS + 1, 1] = -0.0
+        path = write_csv(tmp_path / "x.csv", "a,b", rows)
+        assert path.read_text() == frozen_csv("a,b", rows)
+        assert "-0,-0\n0,-0\n" in path.read_text()
+
+    def test_non_finite_and_subnormal_runs(self, tmp_path):
+        specials = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308]
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        column = np.repeat(specials + [nan_payload, 0.0], 40)
+        rows = np.column_stack([column, column[::-1], np.roll(column, 7)])
+        path = write_csv(tmp_path / "x.csv", "a,b,c", rows)
+        assert path.read_text() == frozen_csv("a,b,c", rows)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_row_counts_around_one_block(self, tmp_path, offset):
+        n = 1 if offset is None else runner.CSV_BLOCK_ROWS + offset
+        rng = np.random.default_rng(n)
+        rows = np.round(rng.standard_normal((n, 3)), 1)  # some equal neighbours
+        path = write_csv(tmp_path / "x.csv", "a,b,c", rows, ",jefimenko")
+        assert path.read_text() == frozen_csv("a,b,c", rows, ",jefimenko")
+
+    def test_one_column_table(self, tmp_path):
+        rows = np.repeat([0.0, 1.0 / 3.0, -0.0, 1.0 / 3.0], 200)[:, None]
+        path = write_csv(tmp_path / "x.csv", "v", rows)
+        assert path.read_text() == frozen_csv("v", rows)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), ()])
+    def test_rows_not_a_table_are_refused_before_writing(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            write_csv(tmp_path / "x.csv", "a,b", np.zeros(shape))
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+    def test_sampled_series_matches_per_value_formatting(self, tmp_path, representation):
+        sigma = 0.05
+        src = SourceModel(
+            envelope=GaussianEnvelope(center=(0, 0, 0), sigma=sigma),
+            profile=SineSquaredPulse(t_on=0.0, tau=8.0),
+            polarization=(0, 0, 1),
+            amplitude=1.0,
+            domain=Ball(center=(0, 0, 0), radius=10 * sigma),
+        )
+        radii, times = np.array([1.0, 2.0]), np.linspace(0.0, 20.0, 301)
+        series = sample_waveforms(
+            src, representation, (0, 0, 0), (1, 0, 0), radii, times, build_rule(src.domain, 10)
+        )
+        n_terms = len(series.terms)
+        rows = [
+            [r, t, *series.total_field()[i, j], *series.fields[i, j].ravel()]
+            + [0.0] * 3 * (3 - n_terms)
+            for i, r in enumerate(radii)
+            for j, t in enumerate(times)
+        ]
+        # The static tail repeats: past the burst most field values equal
+        # the value above them, so the writer's reuse is exercised.
+        tail = np.asarray(rows)[-100:, 2:]
+        assert (tail[1:] == tail[:-1]).mean() > 0.5
+        path = emit_waveform_csv(series, tmp_path / "x.csv")
+        assert path.read_text() == frozen_csv(CSV_HEADER, rows, f",{representation}")
 
 
 class TestCli:
