@@ -84,41 +84,57 @@ class FieldDecomposition:
         return float(np.linalg.norm(self.total))
 
 
-def _frame(src: SourceModel, rule: QuadratureRule, x: Vec3):
-    """Distances R and unit directions theta from every node to ``x``;
-    rejects an ``x`` inside or touching the domain."""
+def _frame(src: SourceModel, nodes: np.ndarray, x: Vec3):
+    """Distances R (nodes,) and unit directions theta (3, nodes) from the
+    (3, nodes) ``nodes`` to ``x``; rejects ``x`` in the domain.  One row per
+    component keeps each step in place on whole rows, with no (nodes, 3)
+    temporaries; R adds in the order ``np.linalg.norm(axis=1)`` does."""
     if not strictly_outside(src.domain, x):
         raise ValueError(f"observation point {x} is inside or touching the source domain")
-    d = x - rule.nodes
-    r = np.linalg.norm(d, axis=1)
-    return r, d / r[:, None]
+    theta = x[:, None] - nodes
+    r = np.sqrt(theta[0] * theta[0] + theta[1] * theta[1] + theta[2] * theta[2])
+    theta /= r
+    return r, theta
 
 
-class ZoneKernel:
-    """Near + intermediate + far integrals with explicit 1/R^p kernels.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Per sampling the kernel holds the weighted current factor w*A*g.
-    """
+
+class _NodeKernel:
+    """Per sampling a kernel holds, read-only since it serves every radius
+    and thread, the (3, nodes) node coordinates and the weighted current
+    factor w*A*g."""
+
+    def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
+        self.src, self.constants = src, constants
+        self.nodes = _read_only(np.ascontiguousarray(rule.nodes.T))
+        self.weighted = _read_only(rule.weights * src.current_factor(rule.nodes))
+
+
+class ZoneKernel(_NodeKernel):
+    """Near + intermediate + far integrals with explicit 1/R^p kernels."""
 
     representation = "zones"
     terms = ("near", "intermediate", "far")
 
-    def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
-        self.src, self.rule, self.constants = src, rule, constants
-        self.weighted = rule.weights * src.current_factor(rule.nodes)
-
     def at(self, x: Vec3):
         """Delays R/c and, for p = 3, 2, 1, the (4, nodes) columns
-        [wAg/R^p, theta (theta . p_hat) wAg/R^p]."""
-        r, theta = _frame(self.src, self.rule, x)
-        # C order throughout: the sums gather rows of the columns when they
-        # sort them by delay
-        along = np.ascontiguousarray((theta * (theta @ self.src.polarization)[:, None]).T)
-        columns = []
-        for p in (3, 2, 1):
-            scalar = self.weighted / r**p
-            columns.append(np.concatenate([scalar[None], along * scalar]))
-        return r / self.constants.c, columns
+        [wAg/R^p, theta (theta . p_hat) wAg/R^p]: one (3, 4, nodes) array,
+        written in place, with theta . p_hat in rows not yet written."""
+        r, theta = _frame(self.src, self.nodes, x)
+        columns = np.empty((3, 4, r.size))
+        pol = self.src.polarization
+        dot = np.multiply(theta[0], pol[0], out=columns[0, 0])
+        for row, component in zip(theta[1:], pol[1:]):
+            dot += np.multiply(row, component, out=columns[0, 1])
+        theta *= dot
+        for k, p in enumerate((3, 2, 1)):
+            scalar = columns[k, 0]
+            np.divide(self.weighted, np.power(r, p, out=scalar), out=scalar)
+            np.multiply(theta, scalar, out=columns[k, 1:])
+        return r / self.constants.c, list(columns)
 
     def fields(self, geometry, times: np.ndarray) -> np.ndarray:
         """Terms at each of ``times``, shape (times, 3, 3)."""
@@ -134,30 +150,28 @@ class ZoneKernel:
         return out
 
 
-class JefimenkoKernel:
+class JefimenkoKernel(_NodeKernel):
     """Retarded current and charge form ("current", "charge").
 
     The time derivative of the current integral is taken analytically on
-    the pulse, under the integral.  Per sampling the kernel holds the
-    weighted current factor w*A*g and the weighted charge gradient factor
-    -w*A*(H . p_hat), the gradient of the charge per unit F(t).
+    the pulse, under the integral.  The kernel also holds the (3, nodes)
+    weighted charge gradient factor -w*A*(H . p_hat), the gradient of the
+    charge per unit F(t).
     """
 
     representation = "jefimenko"
     terms = ("current", "charge")
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
-        self.src, self.rule, self.constants = src, rule, constants
-        self.weighted = rule.weights * src.current_factor(rule.nodes)
-        self.charge_weights = rule.weights[:, None] * src.charge_gradient_factor(rule.nodes)
+        super().__init__(src, rule, constants)
+        charge_factor = src.charge_gradient_factor(rule.nodes).T
+        self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
 
     def at(self, x: Vec3):
         """Delays R/c, the (1, nodes) column wAg/R and the (3, nodes)
         columns -wA(H . p_hat)/R."""
-        r, _ = _frame(self.src, self.rule, x)
-        current = (self.weighted / r)[None, :]
-        charge = (self.charge_weights / r[:, None]).T.copy()
-        return r / self.constants.c, (current, charge)
+        r, _ = _frame(self.src, self.nodes, x)
+        return r / self.constants.c, ((self.weighted / r)[None, :], self.charge_weights / r)
 
     def fields(self, geometry, times: np.ndarray) -> np.ndarray:
         """Terms at each of ``times``, shape (times, 2, 3)."""

@@ -343,13 +343,14 @@ def run_tasks(
         return series
 
     def emit(task_report: TaskReport, name: str, writer, *args) -> None:
-        """Write one CSV artifact as ``writer(*args, path)``, if CSVs are on."""
+        """Write CSV artifact ``name`` as ``writer(*args, path)``, if CSVs are on, once per run."""
         if "csv" not in fmts:
             return
-        start = time.perf_counter()
-        path = writer(*args, outdir / name)
-        seconds = time.perf_counter() - start
-        report.emission[name] = {"seconds": seconds, "bytes": path.stat().st_size}
+        if name not in report.emission:
+            start = time.perf_counter()
+            path = writer(*args, outdir / name)
+            seconds = time.perf_counter() - start
+            report.emission[name] = {"seconds": seconds, "bytes": path.stat().st_size}
         task_report.artifacts.append(name)
 
     for name in config.tasks:

@@ -450,8 +450,11 @@ class GaussianEnvelope:
     def hessian(self, points):
         d = np.asarray(points, dtype=float) - self.center
         g = np.exp(-0.5 * np.sum(d * d, axis=-1) / self.sigma**2)
-        outer = d[..., :, None] * d[..., None, :] / self.sigma**4
-        return (outer - np.eye(3) / self.sigma**2) * g[..., None, None]
+        h = d[..., :, None] * d[..., None, :]
+        h /= self.sigma**4
+        np.einsum("...ii->...i", h)[...] -= 1.0 / self.sigma**2  # a view of the diagonal
+        h *= g[..., None, None]
+        return h
 
     def integral(self) -> float:
         """Integral of g over all space."""
@@ -495,12 +498,16 @@ class TruncatedGaussianEnvelope:
         return _scalarize(np.where(self._mask(points), v, 0.0))
 
     def gradient(self, points):
+        outside = ~self._mask(points)
         g = self._smooth().gradient(points)
-        return np.where(self._mask(points)[..., None], g, 0.0)
+        g[outside] = 0.0
+        return g
 
     def hessian(self, points):
+        outside = ~self._mask(points)
         h = self._smooth().hessian(points)
-        return np.where(self._mask(points)[..., None, None], h, 0.0)
+        h[outside] = 0.0
+        return h
 
     def integral(self) -> float:
         a = self.cut_radius / (self.sigma * math.sqrt(2.0))

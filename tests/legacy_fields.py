@@ -6,8 +6,11 @@ the envelope and (for Jefimenko) the Hessian, and sums with ``np.sum`` and
 BLAS matrix-vector products.  The engine reorders those sums, so the two
 agree to rounding, not bit for bit.  The pulse formulas are frozen too, in
 ``legacy_pulse``, and so is the block summation the engine used before
-each pulse summed its nodes itself, in ``block_sums``.  Do not edit these
-bodies to follow the package.
+each pulse summed its nodes itself, in ``block_sums``.  The node frame,
+kernel columns and envelope Hessian as they stood before the engine laid
+nodes out one row per component are frozen in ``legacy_frame``,
+``legacy_zone_at``, ``legacy_jefimenko_at`` and ``legacy_hessian``.  Do
+not edit these bodies to follow the package.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ import math
 
 import numpy as np
 
-from retfield.sources import DifferentiatedGaussianPulse, SineSquaredPulse
+from retfield.domains import strictly_outside
+from retfield.sources import (
+    DifferentiatedGaussianPulse,
+    SineSquaredPulse,
+    TruncatedGaussianEnvelope,
+)
 
 
 def legacy_pulse(profile, t):
@@ -118,3 +126,48 @@ def legacy_jefimenko_field(src, x, t, rule, constants, fd_step=None):
     grad_rho = -src.amplitude * legacy_pulse(src.profile, t_ret)[0][:, None] * (hess @ pol)
     charge = -k_c * (grad_rho.T @ (w / r))
     return np.array([current, charge])
+
+
+def legacy_hessian(envelope, points):
+    """Hessian of a Gaussian or truncated Gaussian envelope, as a fresh
+    outer product, identity and product, masked with ``np.where``."""
+    sigma = envelope.sigma
+    d = np.asarray(points, dtype=float) - envelope.center
+    g = np.exp(-0.5 * np.sum(d * d, axis=-1) / sigma**2)
+    outer = d[..., :, None] * d[..., None, :] / sigma**4
+    h = (outer - np.eye(3) / sigma**2) * g[..., None, None]
+    if isinstance(envelope, TruncatedGaussianEnvelope):
+        return np.where(envelope._mask(points)[..., None, None], h, 0.0)
+    return h
+
+
+def legacy_frame(src, rule, x):
+    """(nodes,) distances R and (nodes, 3) unit directions from the nodes to ``x``."""
+    if not strictly_outside(src.domain, x):
+        raise ValueError(f"observation point {x} is inside or touching the source domain")
+    d = x - rule.nodes
+    r = np.linalg.norm(d, axis=1)
+    return r, d / r[:, None]
+
+
+def legacy_zone_at(src, rule, x, constants):
+    """Delays R/c and, for p = 3, 2, 1, the (4, nodes) zone columns."""
+    weighted = rule.weights * src.current_factor(rule.nodes)
+    r, theta = legacy_frame(src, rule, x)
+    along = np.ascontiguousarray((theta * (theta @ src.polarization)[:, None]).T)
+    columns = []
+    for p in (3, 2, 1):
+        scalar = weighted / r**p
+        columns.append(np.concatenate([scalar[None], along * scalar]))
+    return r / constants.c, columns
+
+
+def legacy_jefimenko_at(src, rule, x, constants):
+    """Delays R/c, the (1, nodes) current column and (3, nodes) charge columns."""
+    weighted = rule.weights * src.current_factor(rule.nodes)
+    charge_factor = -src.amplitude * (legacy_hessian(src.envelope, rule.nodes) @ src.polarization)
+    charge_weights = rule.weights[:, None] * charge_factor
+    r, _ = legacy_frame(src, rule, x)
+    current = (weighted / r)[None, :]
+    charge = (charge_weights / r[:, None]).T.copy()
+    return r / constants.c, (current, charge)

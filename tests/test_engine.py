@@ -9,9 +9,19 @@ against the per-cell formulas and against the frozen block path
 node sums in extended precision.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
-from legacy_fields import block_sums, legacy_jefimenko_field, legacy_zone_field
+from legacy_fields import (
+    block_sums,
+    legacy_hessian,
+    legacy_jefimenko_at,
+    legacy_jefimenko_field,
+    legacy_zone_at,
+    legacy_zone_field,
+)
 
 from retfield import sources
 from retfield.analysis import sample_waveforms
@@ -101,13 +111,98 @@ def test_kernel_weights_are_rule_weights_times_source_factors(envelope, monkeypa
     charge = rule.weights[:, None] * src.charge_gradient_factor(rule.nodes)
     jefimenko = JefimenkoKernel(src, rule, NATURAL)
     assert jefimenko.weighted.tobytes() == current.tobytes()
-    assert jefimenko.charge_weights.tobytes() == charge.tobytes()
+    assert jefimenko.charge_weights.tobytes() == np.ascontiguousarray(charge.T).tobytes()
+    assert jefimenko.nodes.tobytes() == np.ascontiguousarray(rule.nodes.T).tobytes()
+    zones = ZoneKernel(src, rule, NATURAL)
+    shared = [zones.nodes, zones.weighted, jefimenko.nodes, jefimenko.weighted]
+    for array in shared + [jefimenko.charge_weights]:
+        assert array.flags.c_contiguous and not array.flags.writeable
 
     def no_hessian(self, points):
         raise AssertionError("the zones kernel evaluated the Hessian")
 
     monkeypatch.setattr(type(src.envelope), "hessian", no_hessian)
     assert ZoneKernel(src, rule, NATURAL).weighted.tobytes() == current.tobytes()
+
+
+def _ray_points():
+    origin, direction = np.asarray(RAY["ray_origin"]), np.asarray(RAY["ray_direction"])
+    return origin + RADII[:, None] * (direction / np.linalg.norm(direction))
+
+
+def _kernel_geometries(src, rule):
+    """(engine, frozen) delays and columns of both kernels at each ray point."""
+    zones, jefimenko = ZoneKernel(src, rule, NATURAL), JefimenkoKernel(src, rule, NATURAL)
+    for x in _ray_points():
+        yield "zones", zones.at(x), legacy_zone_at(src, rule, x, NATURAL)
+        yield "jefimenko", jefimenko.at(x), legacy_jefimenko_at(src, rule, x, NATURAL)
+
+
+@pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+def test_node_frame_keeps_frozen_bits_for_polarization_along_z(envelope):
+    """With p_hat = z, theta . p_hat is exact in any summation order, so the
+    node-major frame gives the frozen bodies' delays, columns of both
+    kernels and Hessian bit for bit."""
+    src = dataclasses.replace(source(envelope), polarization=(0.0, 0.0, 1.0))
+    rule = build_rule(src.domain, 10)
+    hessian = src.envelope.hessian(rule.nodes)
+    assert hessian.tobytes() == legacy_hessian(src.envelope, rule.nodes).tobytes()
+    for _, (delays, columns), (frozen_delays, frozen_columns) in _kernel_geometries(src, rule):
+        assert delays.tobytes() == frozen_delays.tobytes()
+        assert len(columns) == len(frozen_columns)
+        for got, expected in zip(columns, frozen_columns):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+def test_node_frame_matches_frozen_bodies_for_oblique_polarization(envelope):
+    """With p_hat = (0, 0.6, 0.8), theta . p_hat is added left to right
+    where the frozen body used a matrix-vector product, so each zone column
+    moves by rounding only, within 1e-15 of its largest |value|; the delays
+    and the Jefimenko columns keep their bits."""
+    src = source(envelope)
+    rule = build_rule(src.domain, 10)
+    for form, (delays, columns), (frozen_delays, frozen_columns) in _kernel_geometries(src, rule):
+        assert delays.tobytes() == frozen_delays.tobytes()
+        for got, expected in zip(columns, frozen_columns):
+            assert got.shape == expected.shape
+            if form == "jefimenko":
+                assert got.tobytes() == expected.tobytes()
+            for column, frozen in zip(got, expected):
+                assert np.abs(column - frozen).max() <= 1e-15 * np.abs(frozen).max()
+
+
+#: Node-length float arrays that ``ZoneKernel.at`` may hold beyond the ones
+#: it returns, and that ``JefimenkoKernel`` construction may hold at its peak
+#: (the (nodes, 3) layout held 10 and 32.4).
+AT_SCRATCH_ARRAYS = 5
+CONSTRUCTION_ARRAYS = 20
+
+
+@pytest.mark.parametrize("envelope", ["gaussian", "truncated"])
+def test_kernel_allocations_stay_within_a_few_node_arrays(envelope):
+    """tracemalloc sees numpy's buffers, so the peaks are exact counts."""
+    src = source(envelope)
+    rule = build_rule(src.domain, 22)
+    assert len(rule) == 21296
+    node_array = 8 * len(rule)
+    x = _ray_points()[0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        JefimenkoKernel(src, rule, NATURAL)
+        construction_peak = tracemalloc.get_traced_memory()[1] - start
+        kernel = ZoneKernel(src, rule, NATURAL)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        geometry = kernel.at(x)
+        returned, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    delays, columns = geometry
+    assert returned >= 8 * (delays.size + sum(c.size for c in columns))
+    assert peak <= returned + AT_SCRATCH_ARRAYS * node_array
+    assert construction_peak <= CONSTRUCTION_ARRAYS * node_array
 
 
 @pytest.mark.parametrize("pulse", sorted(PULSES))

@@ -46,7 +46,7 @@ def retarded_time(x, xp, t, constants=NATURAL):
 def unit_direction(x, xp):
     """The engine's unit vector from the node at ``xp`` toward ``x``."""
     src, rule = one_node(xp)
-    return _frame(src, rule, np.asarray(x, dtype=float))[1][0]
+    return _frame(src, np.ascontiguousarray(rule.nodes.T), np.asarray(x, dtype=float))[1][:, 0]
 
 
 class TestRetardedTime:

@@ -307,6 +307,29 @@ tasks = scaling decompose
             assert entry["bytes"] == (tmp_path / name).stat().st_size
             assert entry["seconds"] > 0.0
 
+    def test_artifact_asked_for_twice_is_written_once(self, tmp_path, monkeypatch):
+        """decompose and compare both list waveform_zones.csv; the run
+        writes it once, with the bytes a compare-only run writes."""
+        written = []
+
+        def counting_writer(series, path):
+            written.append(Path(path).name)
+            return emit_waveform_csv(series, path)
+
+        monkeypatch.setattr(runner, "emit_waveform_csv", counting_writer)
+        report = run_tasks(quick_config(tasks="decompose compare"), output_dir=tmp_path / "both")
+        assert sorted(written) == ["waveform_jefimenko.csv", "waveform_zones.csv"]
+        assert [task.artifacts for task in report.tasks] == [
+            ["waveform_zones.csv"],
+            ["waveform_zones.csv", "waveform_jefimenko.csv"],
+        ]
+        run_tasks(quick_config(tasks="compare"), output_dir=tmp_path / "alone")
+        assert set(report.emission) == set(written)
+        for name, entry in report.emission.items():
+            both = (tmp_path / "both" / name).read_bytes()
+            assert both == (tmp_path / "alone" / name).read_bytes()
+            assert entry["bytes"] == len(both)
+
     def test_json_only_format_writes_no_csv(self, tmp_path):
         config = parse_config(
             QUICK.replace("directory = out", "directory = out\nformats = json")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from legacy_fields import legacy_pulse
+from legacy_fields import legacy_hessian, legacy_pulse
 
 from retfield.domains import Ball, Box
 from retfield.quadrature import build_rule
@@ -238,6 +238,29 @@ class TestEnvelopes:
         smooth = GaussianEnvelope(center=(0, 0, 0), sigma=1.0)
         p = (0.3, 0.2, -0.4)
         assert env.value(p) == smooth.value(p)
+
+    def test_truncated_derivatives_are_positive_zeros_outside_the_cut(self):
+        """Outside the cut every gradient and Hessian entry is +0.0, never
+        -0.0, and inside it is the smooth one's, bit for bit, as in the
+        frozen masked Hessian; for a point set and for single points."""
+        env = TruncatedGaussianEnvelope(center=(0.1, -0.2, 0.05), sigma=0.3, cut_radius=0.45)
+        smooth = GaussianEnvelope(center=env.center, sigma=env.sigma)
+        rng = np.random.default_rng(44)
+        points = env.center + rng.uniform(-1.0, 1.0, size=(400, 3))
+        distance = np.linalg.norm(points - env.center, axis=1)
+        points = points[np.abs(distance - env.cut_radius) > 0.01]
+        outside = np.linalg.norm(points - env.center, axis=1) > env.cut_radius
+        assert 0 < outside.sum() < len(points)
+        assert env.hessian(points).tobytes() == legacy_hessian(env, points).tobytes()
+        for derivative in ("gradient", "hessian"):
+            got = getattr(env, derivative)(points)
+            assert not np.any(got[outside]) and not np.any(np.signbit(got[outside]))
+            smooth_inside = getattr(smooth, derivative)(points[~outside])
+            assert got[~outside].tobytes() == smooth_inside.tobytes()
+            for p, out, expected in zip(points[:20], outside[:20], got[:20]):
+                one = getattr(env, derivative)(p)
+                assert one.tobytes() == expected.tobytes()
+                assert np.any(one) != out
 
     @pytest.mark.parametrize(
         "center, radius", [((0.0, 0.0, 0.0), 0.1), ((3.1, -2.7, 1.9), 0.37)]
