@@ -32,7 +32,7 @@ from .analysis import (
     zone_scaling_fit,
 )
 from .config import RunConfig
-from .evaluators import ObservationPoint, normalized_residual, refined_field
+from .evaluators import RESIDUAL_FLOOR, ObservationPoint, normalized_residual, refined_field
 
 logger = logging.getLogger(__name__)
 
@@ -204,9 +204,16 @@ def _task_compare(src, config, constants, sample, emit) -> TaskReport:
     for representation in ("zones", "jefimenko"):
         emit(report, f"waveform_{representation}.csv", emit_waveform_csv, sample(representation))
     residuals = normalized_residual(e_zone, e_jef)
+    # a cell's own magnitude is noise-sized once the pulse has passed, so
+    # residual_max reads order one however well the forms agree; this one
+    # scales each radius's gaps by its peak field
+    gaps = np.linalg.norm(e_zone - e_jef, axis=-1)
+    peaks = np.maximum(np.linalg.norm(e_zone, axis=-1), np.linalg.norm(e_jef, axis=-1))
+    peaks = np.maximum(peaks.max(axis=1, keepdims=True), RESIDUAL_FLOOR)
     report.details = {
         "residual_max": float(residuals.max()),
         "residual_mean": float(residuals.mean()),
+        "residual_max_of_peak": float((gaps / peaks).max()),
         "points": int(residuals.size),
         "boundary_leakage": src.boundary_leakage(),
     }

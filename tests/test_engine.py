@@ -442,13 +442,30 @@ def _delay_cases():
     edges = np.concatenate([[t_lead - w], t_lead + astride, t_trail + astride, [t_trail + w]])
     tied = 3.0 + rng.integers(0, 12, 300) * (0.37 * w)
     one = np.array([3.25])
+    # several blocks of the moment products, each cut by slab starts and
+    # run ends that fall off the block ends
+    blocks = 3.0 + rng.uniform(0.0, 60 * w, 3 * sources._MOMENT_BLOCK + 300)
     return {
-        "many-slabs": (pulse, many, span(many)),
-        "astride-clip-edges": (pulse, slab, edges),
-        "tied": (pulse, tied, span(tied)),
-        "one-node": (pulse, one, span(one)),
-        "no-times": (pulse, many, np.array([])),
+        "many-slabs": (pulse, many, span(many), "kinds"),
+        "astride-clip-edges": (pulse, slab, edges, "kinds"),
+        "tied": (pulse, tied, span(tied), "kinds"),
+        "one-node": (pulse, one, span(one), "kinds"),
+        "no-times": (pulse, many, np.array([]), "kinds"),
+        "several-blocks": (pulse, blocks, span(blocks), "kinds"),
+        "several-blocks-zones": (pulse, blocks, span(blocks), "zones"),
+        "several-blocks-jefimenko": (pulse, blocks, span(blocks), "jefimenko"),
     }
+
+
+def layout_columns(layout, rng, n):
+    """Columns of F, f and f' as ``column_sums`` gets them: a (k, n) array
+    per kind, three (4, n) views of one (3, 4, n) array (``ZoneKernel``), or
+    (charge (3, n), None, current (1, n)) (``JefimenkoKernel``)."""
+    if layout == "zones":
+        return list(rng.standard_normal((3, 4, n)))
+    if layout == "jefimenko":
+        return [rng.standard_normal((3, n)), None, rng.standard_normal((1, n))]
+    return [rng.standard_normal((k, n)) for k in (3, 1, 2)]
 
 
 DELAY_CASES = _delay_cases()
@@ -460,15 +477,17 @@ def test_moment_sums_match_extended_precision_direct_sums(case):
     of |c| (times w, 1, 1/w for F, f, f'), and within 1e-12 of the largest
     sum, which only an exact clip meets where every node is near a clip
     edge (sums ~1e-11).  +0.0 wherever no node is inside the clip."""
-    pulse, delays, times = DELAY_CASES[case]
-    rng = np.random.default_rng(9)
-    columns = [rng.standard_normal((k, delays.size)) for k in (3, 1, 2)]
+    pulse, delays, times, layout = DELAY_CASES[case]
+    columns = layout_columns(layout, np.random.default_rng(9), delays.size)
     got = pulse.column_sums(delays, columns, times)
     expected = extended_sums(pulse, delays, columns, times)
     none_inside = np.all(
         np.abs(((times[:, None] - delays) - pulse.center) / pulse.width) >= 8.0, axis=1
     )
     for g, e, cols, scale in zip(got, expected, columns, (pulse.width, 1.0, 1.0 / pulse.width)):
+        if cols is None:
+            assert g is None
+            continue
         assert g.shape == (times.size, len(cols)) and g.dtype == np.float64
         e = e.astype(float)
         bound = 8 * np.finfo(float).eps * scale * np.abs(cols).sum(axis=1)
@@ -478,6 +497,39 @@ def test_moment_sums_match_extended_precision_direct_sums(case):
         assert np.all(g[none_inside] == 0.0) and not np.any(np.signbit(g[none_inside]))
     if times.size:
         assert 0 < none_inside.sum() < times.size
+
+
+#: Node-length float arrays one zones-shaped ``moment_sums`` call may hold
+#: at its peak (13.3 measured; the one-column-at-a-time path held 10.9).
+MOMENT_ARRAYS = 16
+
+
+def test_moment_sums_allocations_stay_within_a_few_node_arrays():
+    """One zones call as negative_velocity.cfg makes it at its nearest
+    radius: 8192 nodes, twelve columns as three views of one array, 351
+    times.  The products take the nodes a block at a time: a (K, nodes)
+    array of powers or a sorted (columns, nodes) copy would not fit."""
+    src = SourceModel(
+        envelope=GaussianEnvelope(center=(0, 0, 0), sigma=0.02),
+        profile=DifferentiatedGaussianPulse(t_on=0.0, tau=16.0),
+        polarization=(0.0, 0.0, 1.0),
+        amplitude=-1.0,
+        domain=Ball(center=(0, 0, 0), radius=0.2),
+    )
+    rule = build_rule(src.domain, 16)
+    assert len(rule) == 8192
+    delays, columns = ZoneKernel(src, rule, NATURAL).at(np.array([0.3, 0.0, 0.0]))
+    times = np.linspace(0.0, 14.0, 351)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sums = src.profile.column_sums(delays, columns, times)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [s.shape for s in sums] == [(times.size, 4)] * 3
+    assert np.any(sums[0])
+    assert peak <= MOMENT_ARRAYS * 8 * len(rule)
 
 
 def test_moment_sums_clip_each_node_as_the_pulse_does():
