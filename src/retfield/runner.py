@@ -105,9 +105,8 @@ class RunReport:
     config: dict[str, Any]
     output_directory: str = ""
     tasks: list[TaskReport] = field(default_factory=list)
-    #: Per sampled representation: seconds, cells, nodes, node_evals_per_s,
-    #: the pulse's summation ("prefix" or "moments") and, for "moments", the
-    #: most delay moments any radius keeps.
+    #: Per sampled representation: seconds, cells, nodes, node_evals_per_s
+    #: and the most moments (basis rows) the pulse's sums keep at any radius.
     profile: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Per written artifact: the seconds its writer took and its bytes.
     emission: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -336,17 +335,13 @@ def run_tasks(
         )
         seconds = time.perf_counter() - start
         cells = series.radii.size * series.times.size
-        summation = src.profile.summation
         report.profile[representation] = {
             "seconds": seconds,
             "cells": cells,
             "nodes": len(rule),
             "node_evals_per_s": cells * len(rule) / seconds,
-            "summation": summation,
+            "moments": src.profile.most_moments(src.domain.diameter() / constants.c),
         }
-        if summation == "moments":
-            spread = src.domain.diameter() / constants.c
-            report.profile[representation]["moments"] = src.profile.most_moments(spread)
         return series
 
     def emit(task_report: TaskReport, name: str, writer, *args) -> None:

@@ -16,25 +16,19 @@ same factors by the quadrature weights.
 The field engine never evaluates a pulse node by node: it hands a pulse the
 delays R/c and kernel columns of one observation point and asks for the
 node sums of ``F``, ``f`` and ``f'`` against those columns at a set of
-times (``column_sums``).  Both pulses form them from sums over the nodes
-sorted by delay, read only at the ends of the run of nodes the pulse is
-on at each time.  The sine-squared pulse uses prefix sums of c, c d and
-c times a sine and cosine of the delay (``prefix_sums``), in
-O(N log N + k N + T k) for N nodes, k columns and T times.  The
-derivative-of-Gaussian pulse cuts the sorted nodes into slabs a pulse
-width long and expands the Gaussian about each slab's midpoint in
-Hermite polynomials (``moment_sums``), in O(N log N + K k N + T K k) for
-K delay moments per slab.  It forms the moments of all k columns together,
-as small matrix products over blocks of the sorted nodes: a block's
-columns and powers of the delay stay a few node-length arrays, because
-fresh pages for whole-radius copies cost more than the arithmetic.
+times (``column_sums``).  Both pulses form them in ``moment_sums``, from
+sums over the nodes sorted by delay, read only at the ends of the run of
+nodes the pulse is on at each time.  Each pulse gives its ``Expansion``:
+K basis rows of the nodes times K coefficient rows of the time.  A radius
+costs O(N log N + K k N + T K k) for N nodes, k columns and T times.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -54,101 +48,14 @@ def _scalarize(a: np.ndarray):
 
 
 def _marks(n_nodes: int, *ends) -> np.ndarray:
-    """The node indices, from 0 to ``n_nodes``, at which prefix sums are read.
-
-    Prefix sums over sorted nodes are read only at run ends, so the nodes
-    are summed between consecutive ends (pairwise, by reduceat) and only
-    those few segment sums are accumulated.  marks[i] is the node index of
-    prefix i.  (np.unique would load a module that costs ~1.6 MB of
-    resident memory.)
-    """
+    """The node indices 0, ``n_nodes`` and every index in ``ends``, at which
+    prefix sums are read; only the segment sums between them are formed.
+    (np.unique would load a module that costs ~1.6 MB of resident memory.)"""
     is_mark = np.zeros(n_nodes + 1, dtype=bool)
     is_mark[[0, -1]] = True
     for end in ends:
         is_mark[end] = True
     return np.flatnonzero(is_mark)
-
-
-def _running(segments: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, from 0 before the first segment."""
-    out = np.zeros(segments.shape[:-1] + (segments.shape[-1] + 1,))
-    np.cumsum(segments, axis=-1, out=out[..., 1:])
-    return out
-
-
-def prefix_sums(pulse: "SineSquaredPulse", delays: np.ndarray, columns, times: np.ndarray):
-    """Node sums of F, f and f' of a sine-squared pulse, from prefix sums.
-
-    ``columns`` holds, for F, f and f' in that order, a (k, nodes) array of
-    columns or None; the result holds a (times, k) array of sums, or None,
-    in each place.
-
-    The nodes are sorted by delay, and d below is a delay's offset from the
-    smallest, d0, so that the angles stay of order (delay spread + tau)/tau
-    at any distance and switch-on time.  With s = t - t_on - d0,
-    u = (s - d)/tau, alpha = 2 pi s/tau and beta = 2 pi d/tau,
-    sin 2 pi u = sin(alpha) cos(beta) - cos(alpha) sin(beta).  At one time
-    the nodes whose burst is over (d <= s - tau) are a prefix [0, a) of the
-    sorted nodes, where F = tau/2 and f = f' = 0, and those inside it
-    (s - tau < d < s) are the run [a, b).  So every sum of a column c is
-    made of differences of prefix sums of c, c d, c cos(beta) and
-    c sin(beta), read at a and b; no pulse value is taken per node and
-    time.  A time whose run is empty (ahead of the light front, or after
-    every burst) gets exact zeros for f and f', and for F before the front.
-    """
-    order = np.argsort(delays)
-    offsets = delays[order]
-    origin = offsets[0]
-    offsets -= origin
-    tau, angular = pulse.tau, 2.0 * np.pi / pulse.tau
-    cos_beta = np.cos(angular * offsets)
-    sin_beta = np.sin(angular * offsets)
-
-    s = (times - pulse.t_on) - origin
-    after = np.searchsorted(offsets, s - tau, side="right")
-    # s - tau rounds to s once tau is below half an ulp of s
-    end = np.maximum(np.searchsorted(offsets, s, side="left"), after)
-    run = np.flatnonzero(after < end)
-    s_run = s[run]
-    alpha = angular * s_run
-    sin_alpha, cos_alpha = np.sin(alpha), np.cos(alpha)
-
-    marks = _marks(offsets.size, after, end)
-    before = np.searchsorted(marks, after)
-    lo, hi = before[run], np.searchsorted(marks, end[run])
-
-    def prefix(weighted):
-        """Sums of ``weighted`` (sorted nodes) over the nodes before each mark."""
-        return _running(np.add.reduceat(weighted, marks[:-1]))
-
-    def run_sums(weighted):
-        p = prefix(weighted)
-        return p[hi] - p[lo]
-
-    # One column at a time keeps the working set at a few node-length
-    # arrays whatever the column count.
-    sums = []
-    for kind, cols in enumerate(columns):
-        if cols is None:
-            sums.append(None)
-            continue
-        out = np.zeros((times.size, len(cols)))
-        for j, col in enumerate(cols):
-            col = col[order]
-            c_cos, c_sin = run_sums(col * cos_beta), run_sums(col * sin_beta)
-            sin_u = sin_alpha * c_cos - cos_alpha * c_sin  # sum of c sin 2 pi u
-            if kind == 0:
-                c_prefix = prefix(col)
-                out[:, j] = (0.5 * tau) * c_prefix[before]
-                c_one, c_delay = c_prefix[hi] - c_prefix[lo], run_sums(col * offsets)
-                out[run, j] += 0.5 * (s_run * c_one - c_delay) - tau / (4.0 * np.pi) * sin_u
-            elif kind == 1:
-                c_cos_u = cos_alpha * c_cos + sin_alpha * c_sin  # sum of c cos 2 pi u
-                out[run, j] = 0.5 * (run_sums(col) - c_cos_u)
-            else:
-                out[run, j] = (np.pi / tau) * sin_u
-        sums.append(out)
-    return sums
 
 
 #: Cramér's constant: |He_n(u)| exp(-u^2/4) <= _CRAMER sqrt(n!) for all n, u.
@@ -160,8 +67,8 @@ _MOMENT_TOL = 2.0**-53
 
 
 def moment_count(x_max: float) -> int:
-    """Delay moments K that ``moment_sums`` keeps when no node is more than
-    ``x_max`` pulse widths from its slab's midpoint.
+    """Delay moments K that the derivative-of-Gaussian pulse keeps when no
+    node is more than ``x_max`` pulse widths from its slab's midpoint.
 
     By Cramér's inequality, term k of the expansion of f' is at most
     _CRAMER x^k sqrt((k + 2)!)/k! times the sum of |c|, and of F and f at
@@ -186,172 +93,205 @@ def moment_count(x_max: float) -> int:
 #: smaller blocks spend the gain on per-block calls.
 _MOMENT_BLOCK = 1024
 
-#: (time, slab) pairs ``moment_sums`` contracts with the Hermite rows at
-#: once: a zones kind's (pairs, 4, K) moments stay under 64 KiB at K = 16.
-_PAIR_CHUNK = 128
+#: Moments ``moment_sums`` contracts with the coefficient rows at once, as
+#: (pair, column, row) entries: 64 KiB, or 128 pairs of a zones kind at K = 16.
+_CHUNK_ENTRIES = 8192
 
 
-def _first_holding(delays: np.ndarray, first: np.ndarray, holds) -> np.ndarray:
-    """For each time, the first sorted node at which ``holds`` (false, then
-    true along the nodes) is true, or the node count; found by moving the
-    guess ``first`` (updated in place) over whole runs of tied delays,
-    which share every value."""
-    n = delays.size
+def _first_below(ordered, times, t0, unit, bounds) -> np.ndarray:
+    """For each bound (a row of ``bounds``) and time, the first sorted node
+    whose u = ((t - d) - t0)/unit is below the bound, as the pulse rounds
+    u, or the node count; found by moving a guess from the delays alone
+    over whole runs of tied delays, which share every value."""
+    first = np.searchsorted(ordered, (times - t0) - bounds * unit)
+    # delays -inf and +inf either side, where u is never and always below
+    padded = np.concatenate([[-np.inf], ordered, [np.inf]])
     while True:
-        back = first > 0
-        back[back] = holds(first[back] - 1, back)
-        ahead = first < n
-        ahead[ahead] = ~holds(first[ahead], ahead)
+        # u below the bound at the node before the guess ([0]) and at it ([1])
+        holds = ((times - padded[first + np.array([0, 1])[:, None, None]]) - t0) / unit < bounds
+        back, ahead = holds[0], ~holds[1]
         if not (back.any() or ahead.any()):
             return first
-        first[back] = np.searchsorted(delays, delays[first[back] - 1], side="left")
-        first[ahead] = np.searchsorted(delays, delays[first[ahead]], side="right")
+        first[back] = np.searchsorted(ordered, ordered[first[back] - 1], side="left")
+        first[ahead] = np.searchsorted(ordered, ordered[first[ahead]], side="right")
 
 
-def moment_sums(pulse: "DifferentiatedGaussianPulse", delays: np.ndarray, columns, times):
-    """Node sums of F, f and f' of a derivative-of-Gaussian pulse, from
-    delay moments; ``columns`` and the result are as in ``prefix_sums``.
+@dataclass(frozen=True)
+class Expansion:
+    """A pulse as ``moment_sums`` sums it over nodes sorted by delay.
 
-    With B(u) = exp(-u^2/2) and u = (t - d - center)/w for a node of delay
-    d, the clipped pulse is F = w (B - B(8)), f = B'(u) and f' = B''(u)/w
-    where |u| < 8, and zero elsewhere.  The nodes are sorted by delay and
-    cut into slabs no wider than w.  About a slab's midpoint d0, with
-    x = (d - d0)/w and u0 = (t - d0 - center)/w,
-
-        B^(j)(u0 - x) = (-1)^j B(u0) sum_k He_{j+k}(u0) x^k / k!,
-
-    whose terms Cramér's inequality bounds for |x| <= 1/2 (``moment_count``
-    picks how many to keep).  The nodes inside the clip at one time are a
-    run [a, b) of the sorted nodes, found with the pulse's own rounding of
-    u, so it spans whole slabs and at most a part of one at each end.  The
-    moments sum c x^k/k! of each slab's part of the run are differences of
-    prefix sums read at a, b and the slab ends; no pulse value is taken per
-    node and time.  A time whose run is empty (ahead of the light front,
-    or after the pulse has left every node) gets exact +0.0 sums.
-
-    Every column's prefix sums are formed at once.  The sorted nodes are
-    taken a block of ``_MOMENT_BLOCK`` at a time: the block's part of every
-    column is gathered into one (columns, block) array, next to the block's
-    powers x^k from a multiply ladder, and the nodes between two marks
-    (a, b, the slab starts and the block ends) are summed by one
-    (columns, piece) @ (piece, K) product.  The Hermite rows are then
-    contracted once per kind of sum (F, f, f'), a chunk of (time, slab)
-    pairs at a time.
+    With u = ((t - d) - t0)/unit for a node of delay d, the pulse is on where
+    lo < u < hi, ``support = (t0, unit, lo, hi)``.  There each of F, f and f'
+    is ``scales[kind]`` times the sum over k < ``count`` of ``moment_scale[k]``
+    times basis row k of the node (``basis(nodes, out)`` writes the rows of a
+    slice of the sorted nodes) times coefficient row k of the (time, slab)
+    pair (``coefficients(s, slab)`` gives them per kind, at s = t - t0 -
+    smallest delay), less ``floor`` for F.  Slabs begin at ``starts``.  After
+    the pulse (u >= hi) F is ``after`` and f = f' = 0; before it all are 0.
     """
-    w, clip = pulse.width, _GAUSS_CLIP_SIGMAS
+
+    support: tuple[float, float, float, float]
+    starts: np.ndarray
+    count: int
+    basis: Callable
+    coefficients: Callable
+    moment_scale: Union[float, np.ndarray] = 1.0
+    scales: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    floor: float = 0.0
+    after: float = 0.0
+
+
+def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.ndarray):
+    """Node sums of F, f and f' of a pulse against kernel columns, from
+    moments of the nodes sorted by delay.
+
+    ``columns`` holds, for F, f and f' in that order, a (k, nodes) array of
+    columns or None; the result holds a (times, k) array of sums, or None,
+    in each place.
+
+    At one time the nodes the pulse is over for are a prefix [0, a) of the
+    sorted nodes and those it is on are the run [a, b), both found with the
+    pulse's own rounding of u, so the clip is exact per node.  The moments,
+    sums of c times each basis row over a slab's part of the run, are
+    differences of prefix sums read at the marks: a, b, the slab starts and
+    the block ends.  Each (time, slab) pair contracts them with its
+    coefficient rows; F adds ``after`` times the sum of c over [0, a).  No
+    pulse value is taken per node and time, and a time whose run is empty
+    gets exact +0.0 sums of f and f', and of F until the pulse reaches a node.
+
+    The sorted nodes are taken a block of ``_MOMENT_BLOCK`` at a time: the
+    block's part of every column is gathered into one (columns, block) array
+    next to its basis rows, and the nodes between two marks are summed by
+    one (columns, piece) @ (piece, K) product.  A block cut into more pieces
+    than K times the columns is multiplied out whole and summed piece by
+    piece (reduceat) instead: a product call costs about as much as
+    multiplying out and summing 1024 entries, and a whole block has K times
+    the columns times 1024 of them.  The coefficient rows are contracted
+    once per kind, a chunk of pairs at a time.
+    """
     order = np.argsort(delays)
     ordered = delays[order]
     n = ordered.size
-    offsets = ordered - ordered[0]
-
-    # a slab is the nodes of one bin [i w, (i + 1) w) of the offsets
-    new_bin = np.diff(np.floor(offsets / w), prepend=-1.0) != 0.0
-    starts = np.flatnonzero(new_bin)
-    slab = np.cumsum(new_bin) - 1
-    ends = np.append(starts[1:], n)
-    mids = 0.5 * (offsets[starts] + offsets[ends - 1])
-    x = (offsets - mids[slab]) / w
-    count = moment_count(float(np.abs(x).max()))
-    inverse_factorials = 1.0 / np.cumprod(np.maximum(np.arange(count), 1.0))
-
-    def u(node, at):
-        return ((times[at] - ordered[node]) - pulse.center) / w
-
-    shift = times - pulse.center
-    a = _first_holding(
-        ordered,
-        np.searchsorted(ordered, shift - clip * w, side="right"),
-        lambda node, at: u(node, at) < clip,
-    )
-    b = _first_holding(
-        ordered,
-        np.searchsorted(ordered, shift + clip * w, side="left"),
-        lambda node, at: u(node, at) <= -clip,
-    )
+    expansion = pulse.expansion(ordered - ordered[0])
+    t0, unit, lo_u, hi_u = expansion.support
+    starts, count = expansion.starts, expansion.count
+    # u <= lo is u < the float after lo
+    a, b = _first_below(ordered, times, t0, unit, np.array([[hi_u], [np.nextafter(lo_u, np.inf)]]))
     run = np.flatnonzero(a < b)
     sums = [None if cols is None else np.zeros((times.size, len(cols))) for cols in columns]
-    if not run.size:
+    past = a if expansion.after else a[:0]  # F reads the sums over [0, a)
+    if not (run.size or past.any()):
         return sums
-    a, b = a[run], b[run]
     kinds = [kind for kind, cols in enumerate(columns) if cols is not None]
     present = [columns[kind] for kind in kinds]
 
     # one (time, slab) pair per slab the run of a time meets, grouped by time
-    first = slab[a]
-    counts = slab[b - 1] - first + 1
+    a_run, b_run = a[run], b[run]
+    first = np.searchsorted(starts, a_run, side="right") - 1
+    counts = np.searchsorted(starts, b_run - 1, side="right") - first
     group = np.cumsum(counts) - counts
     pair_time = np.repeat(np.arange(run.size), counts)
     pair_slab = first[pair_time] + np.arange(counts.sum()) - group[pair_time]
-    marks = _marks(n, starts, a, b, np.arange(0, n, _MOMENT_BLOCK))
-    lo = np.searchsorted(marks, np.maximum(a[pair_time], starts[pair_slab]))
-    hi = np.searchsorted(marks, np.minimum(b[pair_time], ends[pair_slab]))
+    marks = _marks(n, starts, past, a_run, b_run, np.arange(0, n, _MOMENT_BLOCK))
+    lo = np.searchsorted(marks, np.maximum(a_run[pair_time], starts[pair_slab]))
+    hi = np.searchsorted(marks, np.minimum(b_run[pair_time], np.append(starts[1:], n)[pair_slab]))
+    coefficients = expansion.coefficients(((times - t0)[run] - ordered[0])[pair_time], pair_slab)
 
-    # B(u0) He_n(u0), n = 0 .. count + 1, by the three-term recurrence
-    u0 = ((shift[run] - ordered[0])[pair_time] - mids[pair_slab]) / w
-    hermite = np.empty((count + 2, u0.size))
-    hermite[0] = np.exp(-0.5 * u0 * u0)
-    hermite[1] = u0 * hermite[0]
-    for k in range(1, count + 1):
-        hermite[k + 1] = u0 * hermite[k] - k * hermite[k - 1]
-    floor = math.exp(-0.5 * clip**2)
-
-    # every column's moments at every mark; a piece between marks never
-    # crosses a block end, which is a mark too
-    rows = np.cumsum([0] + [len(cols) for cols in present])
+    # every column's moments at every mark; a piece never crosses a block end, a mark too
+    rows = list(itertools.accumulate((len(cols) for cols in present), initial=0))
     prefix = np.zeros((marks.size, rows[-1], count))
     gathered = np.empty(rows[-1] * _MOMENT_BLOCK)
-    powers = np.empty(count * _MOMENT_BLOCK)
-    bounds = marks.tolist()
-    for i, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if start % _MOMENT_BLOCK == 0:
-            nodes = slice(start, min(start + _MOMENT_BLOCK, n))
-            size = nodes.stop - start
-            block = gathered[: rows[-1] * size].reshape(rows[-1], size)
-            for cols, r0, r1 in zip(present, rows[:-1], rows[1:]):
-                # "clip" writes straight into out; "raise" would buffer it
-                np.take(cols, order[nodes], axis=1, out=block[r0:r1], mode="clip")
-            ladder = powers[: count * size].reshape(count, size)
-            ladder[0] = 1.0
-            for k in range(1, count):
-                np.multiply(ladder[k - 1], x[nodes], out=ladder[k])
-        piece = slice(start - nodes.start, stop - nodes.start)
-        np.matmul(block[:, piece], ladder[:, piece].T, out=prefix[i + 1])
+    basis = np.empty(count * _MOMENT_BLOCK)
+    # no prefix beyond the last b, or the last a that F reads, is needed
+    reach = max(b_run.max(initial=0), past.max(initial=0))
+    blocks = np.searchsorted(marks, np.append(np.arange(0, reach, _MOMENT_BLOCK), reach)).tolist()
+    for m0, m1 in zip(blocks[:-1], blocks[1:]):
+        nodes = slice(marks[m0], marks[m1])
+        cuts = (marks[m0 : m1 + 1] - marks[m0]).tolist()
+        block = gathered[: rows[-1] * cuts[-1]].reshape(rows[-1], cuts[-1])
+        for cols, r0, r1 in zip(present, rows[:-1], rows[1:]):
+            # "clip" writes straight into out; "raise" would buffer it
+            np.take(cols, order[nodes], axis=1, out=block[r0:r1], mode="clip")
+        ladder = basis[: count * cuts[-1]].reshape(count, cuts[-1])
+        expansion.basis(nodes, ladder)
+        if m1 - m0 > count * rows[-1]:
+            pieces = np.add.reduceat(block[:, None] * ladder, cuts[:-1], axis=2)
+            prefix[m0 + 1 : m1 + 1] = pieces.transpose(2, 0, 1)
+            continue
+        for i, (start, stop) in enumerate(zip(cuts[:-1], cuts[1:]), m0 + 1):
+            np.matmul(block[:, start:stop], ladder[:, start:stop].T, out=prefix[i])
     np.cumsum(prefix, axis=0, out=prefix)
-    prefix *= inverse_factorials
+    prefix *= expansion.moment_scale
 
     # a chunk of pairs at a time, so that no (pairs, columns, K) temporary
     # grows with the time count
     for kind, r0, r1 in zip(kinds, rows[:-1], rows[1:]):
         contracted = np.empty((pair_time.size, r1 - r0))
-        for chunk in range(0, pair_time.size, _PAIR_CHUNK):
-            pairs = slice(chunk, chunk + _PAIR_CHUNK)
+        step = max(1, _CHUNK_ENTRIES // ((r1 - r0) * count))
+        for chunk in range(0, pair_time.size, step):
+            pairs = slice(chunk, chunk + step)
             moments = prefix[hi[pairs], r0:r1]
             moments -= prefix[lo[pairs], r0:r1]
-            series = hermite[kind : kind + count, pairs].T[:, :, None]
+            series = coefficients[kind][:, pairs].T[:, :, None]
             np.matmul(moments, series, out=contracted[pairs, :, None])
-            if kind == 0:
-                contracted[pairs] -= floor * moments[..., 0]
-        sums[kind][run] = (w, -1.0, 1.0 / w)[kind] * np.add.reduceat(contracted, group)
+            if kind == 0 and expansion.floor:
+                contracted[pairs] -= expansion.floor * moments[..., 0]
+        if group.size < pair_time.size:  # a run meets more than one slab
+            contracted = np.add.reduceat(contracted, group)
+        sums[kind][run] = expansion.scales[kind] * contracted
+        if kind == 0 and expansion.after:
+            sums[kind] += expansion.after * prefix[np.searchsorted(marks, a), r0:r1, 0]
     return sums
 
 
 @dataclass(frozen=True)
-class SineSquaredPulse:
-    """sin^2 burst on [t_on, t_on + tau]; exactly zero outside."""
+class _Pulse:
+    """A burst switched on at ``t_on`` for ``tau``, summed by ``moment_sums``."""
 
     t_on: float
     tau: float
-
-    #: How ``column_sums`` forms its sums, as ``report.json`` names it.
-    summation = "prefix"
 
     def __post_init__(self):
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError(f"pulse duration must be positive, got {self.tau}")
 
     def column_sums(self, delays, columns, times):
-        """Node sums of F, f and f' against kernel columns (``prefix_sums``)."""
-        return prefix_sums(self, delays, columns, times)
+        """Node sums of F, f and f' against kernel columns (``moment_sums``)."""
+        return moment_sums(self, delays, columns, times)
+
+
+@dataclass(frozen=True)
+class SineSquaredPulse(_Pulse):
+    """sin^2 burst on [t_on, t_on + tau]; exactly zero outside."""
+
+    def expansion(self, offsets) -> Expansion:
+        """One slab and the exact basis 1, d, cos(beta), sin(beta): with
+        s = t - t_on - d0, u = (s - d)/tau, alpha = 2 pi s/tau and
+        beta = 2 pi d/tau, 2 pi u = alpha - beta.  d is a delay's offset from
+        the smallest, d0, so that the angles stay of order
+        (delay spread + tau)/tau at any distance and switch-on time."""
+        angular, k = 2.0 * np.pi / self.tau, self.tau / (4.0 * np.pi)
+        cos_beta, sin_beta = np.cos(angular * offsets), np.sin(angular * offsets)
+
+        def basis(nodes, out):
+            out[0], out[1], out[2], out[3] = 1.0, offsets[nodes], cos_beta[nodes], sin_beta[nodes]
+
+        def coefficients(s, _):
+            sin_alpha, cos_alpha = np.sin(angular * s), np.cos(angular * s)
+            rows = np.zeros((3, 4, s.size))
+            # F = (s - d)/2 - k sin 2 pi u, f = (1 - cos 2 pi u)/2, f' = (pi/tau) sin 2 pi u
+            rows[0, 0], rows[0, 1] = 0.5 * s, -0.5
+            rows[0, 2], rows[0, 3] = -k * sin_alpha, k * cos_alpha
+            rows[1, 0], rows[1, 2], rows[1, 3] = 0.5, -0.5 * cos_alpha, -0.5 * sin_alpha
+            rows[2, 2], rows[2, 3] = np.pi / self.tau * sin_alpha, -np.pi / self.tau * cos_alpha
+            return rows
+
+        support = (self.t_on, self.tau, 0.0, 1.0)
+        return Expansion(support, np.zeros(1, int), 4, basis, coefficients, after=0.5 * self.tau)
+
+    def most_moments(self, delay_spread: float) -> int:
+        """The basis rows ``column_sums`` keeps, at any delay spread."""
+        return 4
 
     def evaluate(self, t):
         """Primitive F, value f and derivative f' at ``t``, as arrays.
@@ -382,7 +322,7 @@ class SineSquaredPulse:
 
 
 @dataclass(frozen=True)
-class DifferentiatedGaussianPulse:
+class DifferentiatedGaussianPulse(_Pulse):
     """Derivative-of-Gaussian burst clipped to [t_on, t_on + tau].
 
     The Gaussian width is tau/16, centered mid-support, so the clip discards
@@ -390,24 +330,50 @@ class DifferentiatedGaussianPulse:
     the support exactly compact; its net time integral is exactly zero.
     """
 
-    t_on: float
-    tau: float
+    def expansion(self, offsets) -> Expansion:
+        """Slabs no wider than w, the powers x^k/k! of each node's offset
+        from its slab's midpoint, and the Hermite rows of each pair.
 
-    #: How ``column_sums`` forms its sums, as ``report.json`` names it.
-    summation = "moments"
+        With B(u) = exp(-u^2/2) and u = (t - d - center)/w, the clipped
+        pulse is F = w (B - B(8)), f = B'(u) and f' = B''(u)/w where
+        |u| < 8.  B does not split into a factor per node times one per
+        time without overflow, but about a slab's midpoint d0, with
+        x = (d - d0)/w and u0 = (t - d0 - center)/w,
 
-    def __post_init__(self):
-        if not (self.tau > 0.0 and np.isfinite(self.tau)):
-            raise ValueError(f"pulse duration must be positive, got {self.tau}")
+            B^(j)(u0 - x) = (-1)^j B(u0) sum_k He_{j+k}(u0) x^k / k!,
 
-    def column_sums(self, delays, columns, times):
-        """Node sums of F, f and f' against kernel columns (``moment_sums``).
-
-        exp(-u^2/2) does not split into a factor per node times a factor
-        per time without overflow, but about a point a width away at most
-        it is a short Hermite series in the delay.
+        whose terms Cramér's inequality bounds for |x| <= 1/2
+        (``moment_count`` picks how many to keep).
         """
-        return moment_sums(self, delays, columns, times)
+        w = self.width
+        # a slab is the nodes of one bin [i w, (i + 1) w) of the offsets
+        new_bin = np.diff(np.floor(offsets / w), prepend=-1.0) != 0.0
+        starts = np.flatnonzero(new_bin)
+        slab = np.cumsum(new_bin) - 1
+        ends = np.append(starts[1:], offsets.size)
+        mids = 0.5 * (offsets[starts] + offsets[ends - 1])
+        x = (offsets - mids[slab]) / w
+        count = moment_count(float(np.abs(x).max()))
+
+        def powers(nodes, out):
+            out[0] = 1.0
+            for k in range(1, count):
+                np.multiply(out[k - 1], x[nodes], out=out[k])
+
+        def hermite(s, pair_slab):
+            # B(u0) He_n(u0), n = 0 .. count + 1, by the three-term recurrence
+            u0 = (s - mids[pair_slab]) / w
+            rows = np.empty((count + 2, u0.size))
+            rows[0] = np.exp(-0.5 * u0 * u0)
+            rows[1] = u0 * rows[0]
+            for k in range(1, count + 1):
+                rows[k + 1] = u0 * rows[k] - k * rows[k - 1]
+            return [rows[kind : kind + count] for kind in range(3)]
+
+        support = (self.center, w, -_GAUSS_CLIP_SIGMAS, _GAUSS_CLIP_SIGMAS)
+        inverse_factorials = 1.0 / np.cumprod(np.maximum(np.arange(count), 1.0))
+        scales, floor = (w, -1.0, 1.0 / w), math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2)
+        return Expansion(support, starts, count, powers, hermite, inverse_factorials, scales, floor)
 
     def most_moments(self, delay_spread: float) -> int:
         """The most delay moments ``column_sums`` keeps for delays that span

@@ -1,12 +1,12 @@
 """The time-batched field engine against the frozen per-cell formulas and
 the kernel matrices, and its independence from thread layout.
 
-The sine-squared pulse is summed by prefix sums over delay-sorted nodes
-(``sources.prefix_sums``), the derivative-of-Gaussian pulse by delay
-moments over slabs of them (``sources.moment_sums``).  Both are checked
-against the per-cell formulas and against the frozen block path
-(``legacy_fields.block_sums``), and the moment sums also against direct
-node sums in extended precision.
+Both pulses are summed by one engine over delay-sorted nodes
+(``sources.moment_sums``): the sine-squared pulse from four exact basis
+rows in one slab, the derivative-of-Gaussian pulse from delay moments over
+slabs a width long.  Both are checked against the per-cell formulas,
+against the frozen block path (``legacy_fields.block_sums``) and against
+direct node sums in extended precision.
 """
 
 import dataclasses
@@ -407,10 +407,23 @@ def test_moment_sums_keep_block_path_zeros(representation, monkeypatch):
 
 
 def extended_sums(pulse, delays, columns, times):
-    """Direct node sums of F, f and f' in extended precision.  The clip is
-    applied per entry, on u as the pulse rounds it."""
-    inside = np.abs(((times[:, None] - delays) - pulse.center) / pulse.width) < 8.0
+    """Direct node sums of F, f and f' in extended precision, from each
+    pulse's own formulas.  The clip is applied per entry, on u as the pulse
+    rounds it."""
     wide = np.longdouble
+    if isinstance(pulse, SineSquaredPulse):
+        u64 = ((times[:, None] - delays) - pulse.t_on) / pulse.tau
+        inside, past = (u64 > 0.0) & (u64 < 1.0), u64 >= 1.0
+        tau, pi = wide(pulse.tau), 4 * np.arctan(wide(1))
+        u = ((times.astype(wide)[:, None] - delays.astype(wide)) - wide(pulse.t_on)) / tau
+        sine = np.sin(2 * pi * u)
+        values = (
+            np.where(inside, tau * (u / 2 - sine / (4 * pi)), np.where(past, tau / 2, wide(0))),
+            np.where(inside, np.sin(pi * u) ** 2, wide(0)),
+            np.where(inside, pi / tau * sine, wide(0)),
+        )
+        return [None if c is None else v @ c.astype(wide).T for v, c in zip(values, columns)]
+    inside = np.abs(((times[:, None] - delays) - pulse.center) / pulse.width) < 8.0
     width = wide(pulse.width)
     u = ((times.astype(wide)[:, None] - delays.astype(wide)) - wide(pulse.center)) / width
     bump = np.where(inside, np.exp(-u * u / 2), wide(0))
@@ -468,10 +481,49 @@ def layout_columns(layout, rng, n):
     return [rng.standard_normal((k, n)) for k in (3, 1, 2)]
 
 
-DELAY_CASES = _delay_cases()
+def _sine_squared_cases():
+    rng = np.random.default_rng(6)
+    pulse = SineSquaredPulse(t_on=0.5, tau=2.0)
+
+    def span(d, count=301):
+        """Times from before the burst reaches the nearest node to after it
+        has left the farthest."""
+        return np.linspace(d.min() - 0.5, d.max() + pulse.tau + 0.5, count)
+
+    spread = 3.0 + rng.uniform(0.0, 3 * pulse.tau, 400)
+    # delays within a quarter burst, and times astride the instants it
+    # reaches (u = 0) and leaves (u = 1) their median
+    narrow = 3.0 + rng.uniform(0.0, 0.25 * pulse.tau, 200)
+    t_lead = pulse.t_on + np.median(narrow)
+    astride = np.linspace(-0.1, 0.1, 41) * pulse.tau
+    edges = np.concatenate([[t_lead - 1.0], t_lead + astride, t_lead + pulse.tau + astride])
+    edges = np.append(edges, t_lead + pulse.tau + 1.0)
+    tied = 3.0 + rng.integers(0, 12, 300) * 0.37
+    one = np.array([3.25])
+    # 41 times leave a few pieces per block, summed by a product each; 301
+    # and the 801 times of box_jefimenko cut each block into many pieces,
+    # summed together
+    blocks = 3.0 + rng.uniform(0.0, 3 * pulse.tau, 3 * sources._MOMENT_BLOCK + 300)
+    box = 3.0 + rng.uniform(0.0, 0.5 * pulse.tau, 4 * sources._MOMENT_BLOCK)
+    return {
+        "sine-squared-spread": (pulse, spread, span(spread), "kinds"),
+        "sine-squared-astride-edges": (pulse, narrow, edges, "kinds"),
+        "sine-squared-tied": (pulse, tied, span(tied), "kinds"),
+        "sine-squared-one-node": (pulse, one, span(one), "kinds"),
+        "sine-squared-no-times": (pulse, spread, np.array([]), "kinds"),
+        "sine-squared-several-blocks": (pulse, blocks, span(blocks, 41), "kinds"),
+        "sine-squared-several-blocks-zones": (pulse, blocks, span(blocks), "zones"),
+        "sine-squared-several-blocks-jefimenko": (pulse, blocks, span(blocks), "jefimenko"),
+        "sine-squared-box-jefimenko": (pulse, box, span(box, 801), "jefimenko"),
+    }
 
 
-@pytest.mark.parametrize("case", sorted(DELAY_CASES))
+DELAY_CASES = {**_delay_cases(), **_sine_squared_cases()}
+SINE_SQUARED_CASES = sorted(c for c in DELAY_CASES if c.startswith("sine-squared"))
+GAUSSIAN_CASES = sorted(c for c in DELAY_CASES if c not in SINE_SQUARED_CASES)
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_CASES)
 def test_moment_sums_match_extended_precision_direct_sums(case):
     """Against direct sums in extended precision: within 8 ulp of the sum
     of |c| (times w, 1, 1/w for F, f, f'), and within 1e-12 of the largest
@@ -499,6 +551,40 @@ def test_moment_sums_match_extended_precision_direct_sums(case):
         assert 0 < none_inside.sum() < times.size
 
 
+@pytest.mark.parametrize("case", SINE_SQUARED_CASES)
+def test_sine_squared_sums_match_extended_precision_direct_sums(case):
+    """Against direct sums in extended precision: within 8 ulp of the sum
+    of |c| times each kind's scale, and within 1e-12 of the largest sum.
+    F's scale is tau plus the delay spread, the largest |s - d| its rows
+    take apart; f' has the error of beta = 2 pi d/tau, up to 2 pi times the
+    spread over tau.  Where no node is inside its burst, f and f' are +0.0,
+    and so is F until the burst reaches a node."""
+    pulse, delays, times, layout = DELAY_CASES[case]
+    columns = layout_columns(layout, np.random.default_rng(9), delays.size)
+    got = pulse.column_sums(delays, columns, times)
+    expected = extended_sums(pulse, delays, columns, times)
+    u = ((times[:, None] - delays) - pulse.t_on) / pulse.tau
+    none_inside = np.all((u <= 0.0) | (u >= 1.0), axis=1)
+    ahead = np.all(u <= 0.0, axis=1)
+    spread = np.ptp(delays) if delays.size else 0.0
+    angles = 1.0 + 2.0 * np.pi * spread / pulse.tau
+    scales = (pulse.tau + spread, 1.0, np.pi / pulse.tau * angles)
+    for kind, (g, e, cols, scale) in enumerate(zip(got, expected, columns, scales)):
+        if cols is None:
+            assert g is None
+            continue
+        assert g.shape == (times.size, len(cols)) and g.dtype == np.float64
+        e = e.astype(float)
+        bound = 8 * np.finfo(float).eps * scale * np.abs(cols).sum(axis=1)
+        assert np.all(np.abs(g - e) <= bound)
+        if times.size:
+            assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+        zero = ahead if kind == 0 else none_inside
+        assert np.all(g[zero] == 0.0) and not np.any(np.signbit(g[zero]))
+    if times.size:
+        assert 0 < ahead.sum() < none_inside.sum() < times.size
+
+
 #: Node-length float arrays one zones-shaped ``moment_sums`` call may hold
 #: at its peak (13.3 measured; the one-column-at-a-time path held 10.9).
 MOMENT_ARRAYS = 16
@@ -520,6 +606,34 @@ def test_moment_sums_allocations_stay_within_a_few_node_arrays():
     assert len(rule) == 8192
     delays, columns = ZoneKernel(src, rule, NATURAL).at(np.array([0.3, 0.0, 0.0]))
     times = np.linspace(0.0, 14.0, 351)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sums = src.profile.column_sums(delays, columns, times)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [s.shape for s in sums] == [(times.size, 4)] * 3
+    assert np.any(sums[0])
+    assert peak <= MOMENT_ARRAYS * 8 * len(rule)
+
+
+def test_sine_squared_sums_allocations_stay_within_a_few_node_arrays():
+    """One zones call at smooth_compare.cfg's rule size, 21296 nodes, on a
+    grid shaped like box_jefimenko's: 801 times over a burst of tau = 2, so
+    that the run ends mark every block many times.  It keeps the bound of
+    the derivative-of-Gaussian call (5.5 node arrays measured)."""
+    src = SourceModel(
+        envelope=GaussianEnvelope(center=(0, 0, 0), sigma=0.05),
+        profile=SineSquaredPulse(t_on=0.0, tau=2.0),
+        polarization=(0.0, 0.0, 1.0),
+        amplitude=1.0,
+        domain=Ball(center=(0, 0, 0), radius=0.5),
+    )
+    rule = build_rule(src.domain, 22)
+    assert len(rule) == 21296
+    delays, columns = ZoneKernel(src, rule, NATURAL).at(np.array([1.0, 0.0, 0.0]))
+    times = np.linspace(0.0, 8.0, 801)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -557,6 +671,32 @@ def test_moment_sums_clip_each_node_as_the_pulse_does():
     for g, e, scale in zip(got, expected, (pulse.width, 1.0, 1.0 / pulse.width)):
         assert np.abs(g - e).max() <= 8 * np.finfo(float).eps * scale
         assert np.all(g[outside] == 0.0)
+
+
+def test_moment_sums_clip_each_sine_squared_node_as_the_pulse_does():
+    """The sine-squared pulse through the same clip: at the times each
+    node's u reaches 0 and 1, and at their float neighbours (non-dyadic, so
+    t - d rounds), a column that picks out one node sums to that node's F,
+    f and f' as ``SineSquaredPulse.evaluate`` gives them, and exactly where
+    the node is outside its burst: f = f' = 0, F = 0 before it and tau/2
+    after it."""
+    rng = np.random.default_rng(13)
+    pulse = SineSquaredPulse(t_on=0.3, tau=1.7)
+    delays = 1.1 + rng.uniform(0.0, 0.4, 40)
+    delays[::7] = delays[0]  # some tied
+    times = _edges(pulse, delays)
+    columns = np.eye(delays.size)
+    got = pulse.column_sums(delays, (columns,) * 3, times)
+    expected = pulse.evaluate(times[:, None] - delays)
+    u = ((times[:, None] - delays) - pulse.t_on) / pulse.tau
+    outside = (u <= 0.0) | (u >= 1.0)
+    assert 2 * delays.size < outside.sum() < outside.size
+    assert np.any(expected[0][outside] == 0.5 * pulse.tau) and np.any(expected[0][outside] == 0.0)
+    spread = np.ptp(delays)
+    scales = (pulse.tau + spread, 1.0, np.pi / pulse.tau * (1.0 + 2.0 * np.pi * spread / pulse.tau))
+    for g, e, scale in zip(got, expected, scales):
+        assert np.abs(g - e).max() <= 8 * np.finfo(float).eps * scale
+        assert np.all(g[outside] == e[outside])
 
 
 def test_moment_count_follows_the_largest_slab_offset(monkeypatch):

@@ -147,8 +147,10 @@ class TestRunTasks:
             assert (tmp_path / "4" / name).read_bytes() == serial
 
     def test_report_profiles_each_sampling(self, tmp_path):
-        # the sine-squared pulse sums by prefix sums, the Gaussian by moments
-        for kind, summation in [("sine-squared", "prefix"), ("differentiated-gaussian", "moments")]:
+        # the sine-squared pulse keeps four exact basis rows; the Gaussian's
+        # moments grow with the slab width: a ball 0.8 across and a width of
+        # 0.5, so a slab can span a width
+        for kind, moments in [("sine-squared", 4), ("differentiated-gaussian", moment_count(0.5))]:
             text = QUICK.replace("tasks = decompose", "tasks = compare")
             config = parse_config(text.replace("tau = 8.0", f"kind = {kind}\ntau = 8.0"))
             run_tasks(config, output_dir=tmp_path / kind)
@@ -164,12 +166,7 @@ class TestRunTasks:
                 assert entry["cells"] * entry["nodes"] / entry["seconds"] == pytest.approx(
                     entry["node_evals_per_s"]
                 )
-                assert entry["summation"] == summation
-                if summation == "moments":
-                    # a ball 0.8 across and a width of 0.5: a slab can span a width
-                    assert entry["moments"] == moment_count(0.5)
-                else:
-                    assert "moments" not in entry
+                assert entry["moments"] == moments
 
     @pytest.mark.parametrize(
         "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]
