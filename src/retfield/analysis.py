@@ -1,7 +1,9 @@
-"""Post-processing of field samples along an observation ray.
+"""Field samples along an observation ray, and their post-processing.
 
-Turns dense waveform samples into the physics checks this package exists
-for: exact vanishing ahead of the light front, power-law falloff of the
+``sample_representations`` samples one or more representations on a
+(radius, time) grid in one sweep (``sample_waveforms`` samples one).  The
+rest turns the samples into the physics checks this package exists for:
+exact vanishing ahead of the light front, power-law falloff of the
 individual field terms, and the arrival-time/velocity profile of a tracked
 waveform feature.  A feature whose arrival time *decreases* with radius
 yields a negative local velocity; that happens strictly behind the front
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluators import KERNELS
+from .evaluators import KERNELS, kernel_terms
 from .geometry import NATURAL, PhysicalConstants, Vec3, as_vec3
 from .quadrature import QuadratureRule
 from .sources import SourceModel
@@ -88,32 +90,33 @@ class WaveformSeries:
 
 
 def sample_waveforms(
-    src: SourceModel,
-    representation: str,
-    ray_origin,
-    ray_direction,
-    radii,
-    times,
-    rule: QuadratureRule,
-    constants: PhysicalConstants = NATURAL,
-    component_axis=None,
-    threads: int = 1,
+    src: SourceModel, representation: str,
+    ray_origin, ray_direction, radii, times, rule: QuadratureRule,
+    constants: PhysicalConstants = NATURAL, component_axis=None, threads: int = 1,
 ) -> WaveformSeries:
-    """Evaluate one representation on the full (radius, time) grid.
+    """Evaluate one representation on the full (radius, time) grid: the
+    one-representation case of ``sample_representations``."""
+    grid = (ray_origin, ray_direction, radii, times, rule, constants, component_axis, threads)
+    return sample_representations(src, (representation,), *grid)[representation]
 
-    One kernel serves the whole grid.  Threads split the work by radius,
-    and each radius is evaluated at all times in one kernel call; how the
-    pulse sums over the nodes is up to the pulse (``sources``).  Every
-    radius comes out the same whatever the thread layout, so the output is
-    deterministic for a given build.  The array is read-only, so one series
-    can be shared by several consumers.
+
+def sample_representations(
+    src: SourceModel, representations,
+    ray_origin, ray_direction, radii, times, rule: QuadratureRule,
+    constants: PhysicalConstants = NATURAL, component_axis=None, threads: int = 1,
+) -> dict[str, WaveformSeries]:
+    """Evaluate several representations on the full (radius, time) grid in
+    one sweep, and return one series per representation, keyed by it.
+
+    Threads split the work by radius; each radius is evaluated at all
+    times for every representation at once, on one node frame and one call
+    of the pulse's sums (``evaluators.kernel_terms``).  Every radius comes
+    out the same whatever the thread layout, so the output is deterministic
+    for a given build and list of representations.  The arrays are
+    read-only, so one series can be shared by several consumers.
     """
-    try:
-        kernel_type = KERNELS[representation]
-    except KeyError:
-        raise ValueError(
-            f"unknown representation {representation!r}; expected one of {sorted(KERNELS)}"
-        ) from None
+    if unknown := sorted(set(representations) - set(KERNELS)):
+        raise ValueError(f"unknown representations {unknown}; expected some of {sorted(KERNELS)}")
     origin = as_vec3(ray_origin)
     direction = as_vec3(ray_direction)
     norm = np.linalg.norm(direction)
@@ -124,30 +127,28 @@ def sample_waveforms(
     times = np.asarray(times, dtype=float)
     axis = src.polarization if component_axis is None else as_vec3(component_axis)
 
-    kernel = kernel_type(src, rule, constants)
-    fields = np.empty((radii.size, times.size, len(kernel.terms), 3))
+    kernels = [KERNELS[representation](src, rule, constants) for representation in representations]
+    fields = [np.empty((radii.size, times.size, len(k.terms), 3)) for k in kernels]
 
     def run(i):
         try:
-            fields[i] = kernel.fields(kernel.at(origin + radii[i] * direction), times)
+            terms = kernel_terms(kernels, origin + radii[i] * direction, times)
         except Exception as exc:
             span = f"{times[0]}..{times[-1]}" if times.size else "none"
             raise RuntimeError(f"field evaluation failed at r={radii[i]}, t={span}: {exc}") from exc
+        for out, value in zip(fields, terms):
+            out[i] = value
 
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         # list() drains the map so a worker's exception is raised here
         list(map(run, range(radii.size)) if pool is None else pool.map(run, range(radii.size)))
-    fields.flags.writeable = False
-    return WaveformSeries(
-        ray_origin=origin,
-        ray_direction=direction,
-        radii=radii,
-        times=times,
-        terms=kernel.terms,
-        fields=fields,
-        component_axis=axis,
-        representation=representation,
-    )
+    series = {}
+    for kernel, out in zip(kernels, fields):
+        out.flags.writeable = False
+        series[kernel.representation] = WaveformSeries(
+            origin, direction, radii, times, kernel.terms, out, axis, kernel.representation
+        )
+    return series
 
 
 def front_times(

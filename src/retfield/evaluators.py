@@ -20,13 +20,13 @@ and raises ConvergenceError when it stalls instead.
 Both run on one time-batched engine.  A kernel (``ZoneKernel``,
 ``JefimenkoKernel``) weights the source's node factors
 (``SourceModel.current_factor``, ``charge_gradient_factor``) by the rule's
-weights once per sampling; ``at(x)`` computes the delays R/c and kernel
-columns of one observation point; ``fields(geometry, times)`` asks the
-pulse for the node sums of F, f and f' against those columns at every time
-(``column_sums``; how a pulse forms them is its own business, see
-``sources``) and assembles the terms from them.  ``zone_field`` and
-``jefimenko_field`` run it at a single time; ``analysis.sample_waveforms``
-runs it over a grid, one observation point at a time.
+weights once per sampling.  It writes its kernel columns from the node
+frame of one observation point (``columns``) and assembles its terms from
+the pulse's node sums of F, f and f' against them (``column_sums``, see
+``sources``; ``terms_from``).  ``kernel_terms`` runs several kernels on one
+frame and one ``column_sums`` call; ``at`` and ``fields`` compose one.
+``zone_field`` and ``jefimenko_field`` run a kernel at a single time;
+``analysis.sample_representations`` runs ``kernel_terms`` over a grid.
 """
 
 from __future__ import annotations
@@ -105,12 +105,47 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _NodeKernel:
     """Per sampling a kernel holds, read-only since it serves every radius
     and thread, the (3, nodes) node coordinates and the weighted current
-    factor w*A*g."""
+    factor w*A*g.  It has ``widths`` rows of columns per kind (F, f, f')."""
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
         self.src, self.constants = src, constants
-        self.nodes = _read_only(np.ascontiguousarray(rule.nodes.T))
+        self.nodes = rule.node_rows
         self.weighted = _read_only(rule.weights * src.current_factor(rule.nodes))
+
+    def at(self, x: Vec3):
+        """Delays R/c and this kernel's columns at ``x``."""
+        r, theta = _frame(self.src, self.nodes, x)
+        return r / self.constants.c, self.columns(r, theta, _stack([self], r.size)[0])
+
+
+def _stack(kernels, n: int):
+    """Per kind, every kernel's rows of columns stacked in one (rows, n)
+    buffer, and per kernel the slice of each kind's stack that is its own
+    (None for no rows)."""
+    widths = np.array([kernel.widths for kernel in kernels])
+    stacked = np.split(np.empty((widths.sum(), n)), np.cumsum(widths.sum(axis=0))[:-1])
+    spans = [[slice(e - w, e) if w else None for w, e in zip(*pair)]
+             for pair in zip(widths, np.cumsum(widths, axis=0))]
+    return [block if len(block) else None for block in stacked], spans
+
+
+def kernel_terms(kernels, x: Vec3, times: np.ndarray) -> list:
+    """Each kernel's terms at ``x`` and each of ``times``, (times, terms, 3).
+
+    The kernels (of one source, rule and constants) share the node frame,
+    and the delays' sort and pulse expansion of one ``column_sums`` call on
+    their stacked columns.  One kernel gets ``kernel.fields(kernel.at(x), times)``."""
+    head = kernels[0]
+    r, theta = _frame(head.src, head.nodes, x)
+    stacked, spans = _stack(kernels, r.size)
+    for kernel, span in zip(kernels, spans):
+        kernel.columns(r, theta, [None if s is None else c[s] for c, s in zip(stacked, span)])
+    del theta  # as ``at`` does, hold no frame but the delays while the sums peak
+    sums = head.src.profile.column_sums(np.divide(r, head.constants.c, out=r), stacked, times)
+    return [
+        kernel.terms_from([None if s is None else part[:, s] for part, s in zip(sums, span)])
+        for kernel, span in zip(kernels, spans)
+    ]
 
 
 class ZoneKernel(_NodeKernel):
@@ -118,31 +153,32 @@ class ZoneKernel(_NodeKernel):
 
     representation = "zones"
     terms = ("near", "intermediate", "far")
+    widths = (4, 4, 4)
 
-    def at(self, x: Vec3):
-        """Delays R/c and, for p = 3, 2, 1, the (4, nodes) columns
-        [wAg/R^p, theta (theta . p_hat) wAg/R^p]: one (3, 4, nodes) array,
-        written in place, with theta . p_hat in rows not yet written."""
-        r, theta = _frame(self.src, self.nodes, x)
-        columns = np.empty((3, 4, r.size))
+    def columns(self, r, theta, slots):
+        """For p = 3, 2, 1, the (4, nodes) columns [wAg/R^p, theta (theta .
+        p_hat) wAg/R^p], written into ``slots``, which hold theta . p_hat
+        in rows not yet written; ``theta`` is overwritten."""
         pol = self.src.polarization
-        dot = np.multiply(theta[0], pol[0], out=columns[0, 0])
+        dot = np.multiply(theta[0], pol[0], out=slots[0][0])
         for row, component in zip(theta[1:], pol[1:]):
-            dot += np.multiply(row, component, out=columns[0, 1])
+            dot += np.multiply(row, component, out=slots[0][1])
         theta *= dot
-        for k, p in enumerate((3, 2, 1)):
-            scalar = columns[k, 0]
+        for columns, p in zip(slots, (3, 2, 1)):
+            scalar = columns[0]
             np.divide(self.weighted, np.power(r, p, out=scalar), out=scalar)
-            np.multiply(theta, scalar, out=columns[k, 1:])
-        return r / self.constants.c, list(columns)
+            np.multiply(theta, scalar, out=columns[1:])
+        return list(slots)
 
     def fields(self, geometry, times: np.ndarray) -> np.ndarray:
         """Terms at each of ``times``, shape (times, 3, 3)."""
         delays, columns = geometry
-        c, k_c = self.constants.c, self.constants.coulomb
-        pol = self.src.polarization
-        s3, s2, s1 = self.src.profile.column_sums(delays, columns, times)
-        out = np.empty((times.size, 3, 3))
+        return self.terms_from(self.src.profile.column_sums(delays, columns, times))
+
+    def terms_from(self, sums) -> np.ndarray:
+        c, k_c, pol = self.constants.c, self.constants.coulomb, self.src.polarization
+        s3, s2, s1 = sums
+        out = np.empty((s3.shape[0], 3, 3))
         # (delta - 3 theta theta^T) @ v  ==  v - 3 theta (theta . v)
         out[:, 0] = -k_c * (pol * s3[:, :1] - 3.0 * s3[:, 1:])
         out[:, 1] = -(k_c / c) * (pol * s2[:, :1] - 3.0 * s2[:, 1:])
@@ -161,28 +197,31 @@ class JefimenkoKernel(_NodeKernel):
 
     representation = "jefimenko"
     terms = ("current", "charge")
+    widths = (3, 0, 1)
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
         super().__init__(src, rule, constants)
         charge_factor = src.charge_gradient_factor(rule.nodes).T
         self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
 
-    def at(self, x: Vec3):
-        """Delays R/c, the (1, nodes) column wAg/R and the (3, nodes)
-        columns -wA(H . p_hat)/R."""
-        r, _ = _frame(self.src, self.nodes, x)
-        return r / self.constants.c, ((self.weighted / r)[None, :], self.charge_weights / r)
+    def columns(self, r, theta, slots):
+        """The (1, nodes) column wAg/R and the (3, nodes) columns
+        -wA(H . p_hat)/R, written into ``slots``; ``theta`` is not read."""
+        charge, _, current = slots
+        np.divide(self.weighted, r, out=current[0])
+        np.divide(self.charge_weights, r, out=charge)
+        return current, charge
 
     def fields(self, geometry, times: np.ndarray) -> np.ndarray:
         """Terms at each of ``times``, shape (times, 2, 3)."""
-        delays, (current_cols, charge_cols) = geometry
+        delays, (current, charge) = geometry
+        return self.terms_from(self.src.profile.column_sums(delays, (charge, None, current), times))
+
+    def terms_from(self, sums) -> np.ndarray:
         c, k_c = self.constants.c, self.constants.coulomb
-        pol = self.src.polarization
-        charge, _, current = self.src.profile.column_sums(
-            delays, (charge_cols, None, current_cols), times
-        )
-        out = np.empty((times.size, 2, 3))
-        out[:, 0] = -(k_c / c**2) * pol * current
+        charge, _, current = sums
+        out = np.empty((charge.shape[0], 2, 3))
+        out[:, 0] = -(k_c / c**2) * self.src.polarization * current
         out[:, 1] = -k_c * charge
         return out
 
@@ -343,14 +382,11 @@ def refined_field(
     strikes = 0
     history = []
     decomposition = None
+    rules = {} if rule_cache is None else rule_cache
     for order in range(base_order, max_order + 1, 2):
-        if rule_cache is not None:
-            rule = rule_cache.get(order)
-            if rule is None:
-                rule = rule_cache[order] = build_rule(src.domain, order)
-        else:
-            rule = build_rule(src.domain, order)
-        decomposition = evaluate(src, obs, rule, constants)
+        if order not in rules:
+            rules[order] = build_rule(src.domain, order)
+        decomposition = evaluate(src, obs, rules[order], constants)
         total = decomposition.total
         if previous is not None:
             new_err = float(np.max(np.abs(total - previous)))

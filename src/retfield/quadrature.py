@@ -10,6 +10,7 @@ observation point is outside the domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,19 +32,28 @@ class QuadratureRule:
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
+    @functools.cached_property
+    def node_rows(self) -> np.ndarray:
+        """The nodes one row per component, (3, n), read-only, shared by
+        every kernel on this rule."""
+        rows = np.ascontiguousarray(self.nodes.T)
+        rows.flags.writeable = False
+        return rows
 
-def _gauss_legendre(order: int, lo: float, hi: float):
-    x, w = np.polynomial.legendre.leggauss(order)
+
+def _gauss_legendre(nodes, weights, lo: float, hi: float):
     half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    return lo + half * (nodes + 1.0), half * weights
 
 
 def build_rule(domain: Domain, order: int) -> QuadratureRule:
     """Tensor rule with ``order`` points per axis (2*order azimuthal on balls)."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
+    # one Legendre rule, mapped onto each interval
+    legendre = np.polynomial.legendre.leggauss(order)
     if isinstance(domain, Box):
-        axes = [_gauss_legendre(order, domain.lo[a], domain.hi[a]) for a in range(3)]
+        axes = [_gauss_legendre(*legendre, domain.lo[a], domain.hi[a]) for a in range(3)]
         xs = np.stack(
             np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij"), axis=-1
         ).reshape(-1, 3)
@@ -52,8 +62,8 @@ def build_rule(domain: Domain, order: int) -> QuadratureRule:
         ).reshape(-1)
         return QuadratureRule(nodes=xs, weights=ws, order=order, domain=domain)
     if isinstance(domain, Ball):
-        r, wr = _gauss_legendre(order, 0.0, domain.radius)
-        mu, wmu = _gauss_legendre(order, -1.0, 1.0)
+        r, wr = _gauss_legendre(*legendre, 0.0, domain.radius)
+        mu, wmu = _gauss_legendre(*legendre, -1.0, 1.0)
         nphi = 2 * order
         phi = 2.0 * np.pi * np.arange(nphi) / nphi
         wphi = np.full(nphi, 2.0 * np.pi / nphi)

@@ -1,22 +1,21 @@
 """Task execution and artifact emission for configured runs.
 
 A run first calibrates one quadrature rule on ``refined_field``'s ladder.
-Each task takes the series it needs from a per-run memo, which samples each
-representation at most once, writes its artifacts, and contributes an entry
-to the run report.  Grid evaluation may fan out over a thread pool; results
-are always assembled in (radius, time) order before writing, so artifacts
-are byte-identical regardless of the worker count.  A physics check that
-fails (e.g. a front check on a leaky pulse) is recorded in the report but is
-not an execution error; only exceptions mark a task failed.
+Each task takes the series it needs from a per-run memo, writes its
+artifacts, and contributes an entry to the run report.  The memo samples
+every representation the tasks read (``_TASK_READS``) in one sweep, at most
+once; a thread pool may split it by radius, and artifacts are byte-identical
+regardless of the worker count.  A physics check that fails (e.g. a front
+check on a leaky pulse) is recorded in the report but is not an execution
+error; only exceptions mark a task failed.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -28,11 +27,11 @@ from .analysis import (
     feature_arrival_times,
     light_front_check,
     local_velocity,
-    sample_waveforms,
+    sample_representations,
     zone_scaling_fit,
 )
 from .config import RunConfig
-from .evaluators import RESIDUAL_FLOOR, ObservationPoint, normalized_residual, refined_field
+from .evaluators import KERNELS, RESIDUAL_FLOOR, ObservationPoint, normalized_residual, refined_field
 
 logger = logging.getLogger(__name__)
 
@@ -91,13 +90,7 @@ class TaskReport:
     details: dict[str, Any] = field(default_factory=dict)
 
     def to_mapping(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "seconds": self.seconds,
-            "artifacts": self.artifacts,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,8 +98,10 @@ class RunReport:
     config: dict[str, Any]
     output_directory: str = ""
     tasks: list[TaskReport] = field(default_factory=list)
-    #: Per sampled representation: seconds, cells, nodes, node_evals_per_s
-    #: and the most moments (basis rows) the pulse's sums keep at any radius.
+    #: Per sampled representation: cells, nodes, the most moments (basis
+    #: rows) the pulse's sums keep at any radius, the representations its
+    #: sweep covered (``sweep``), and that sweep's seconds and
+    #: node_evals_per_s (cells * nodes / seconds), shared by all of them.
     profile: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Per written artifact: the seconds its writer took and its bytes.
     emission: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -213,6 +208,8 @@ def _task_compare(src, config, constants, sample, emit) -> TaskReport:
         "residual_max": float(residuals.max()),
         "residual_mean": float(residuals.mean()),
         "residual_max_of_peak": float((gaps / peaks).max()),
+        # a lower bound on the larger form's error where boundary_leakage is negligible
+        "half_gap_max": 0.5 * float(np.abs(e_zone - e_jef).max()),
         "points": int(residuals.size),
         "boundary_leakage": src.boundary_leakage(),
     }
@@ -292,6 +289,10 @@ _TASK_RUNNERS = {
     "scaling": _task_scaling,
 }
 
+#: The representations each task samples; None is the configured one.
+_TASK_READS = dict(decompose=(None,), velocity=(None,), scaling=("zones",),
+                   compare=("zones", "jefimenko"), frontcheck=("zones", "jefimenko"))
+
 
 def run_tasks(
     config: RunConfig,
@@ -317,32 +318,39 @@ def run_tasks(
         rule, quadrature = _calibrate(src, config, constants)
 
     # A run has one rule and one grid, so the representation alone keys a
-    # series; each one is sampled at most once and shared by every task.
-    @functools.cache
+    # series, shared by every task.  The first request samples all the tasks
+    # read in one sweep; if that fails, each is sampled alone from then on,
+    # so that only the tasks that read a failing one fail.
+    series: dict[str, WaveformSeries] = {}
+    reads = {config.representation if r is None else r for n in config.tasks for r in _TASK_READS[n]}
+    joint = [r for r in KERNELS if r in reads]
+    grid = (config.ray_origin, config.ray_direction, config.radii, config.times, rule, constants,
+            np.asarray(config.component_axis))
+
     def sample(representation: str) -> WaveformSeries:
+        if representation in series:
+            return series[representation]
+        sweep = joint if representation in joint else [representation]
         start = time.perf_counter()
-        series = sample_waveforms(
-            src,
-            representation,
-            config.ray_origin,
-            config.ray_direction,
-            np.asarray(config.radii),
-            np.asarray(config.times),
-            rule,
-            constants,
-            component_axis=np.asarray(config.component_axis),
-            threads=threads,
-        )
+        try:
+            series.update(sample_representations(src, sweep, *grid, threads))
+        except Exception:
+            if len(sweep) == 1:
+                raise
+            joint.clear()
+            return sample(representation)
         seconds = time.perf_counter() - start
-        cells = series.radii.size * series.times.size
-        report.profile[representation] = {
-            "seconds": seconds,
-            "cells": cells,
-            "nodes": len(rule),
-            "node_evals_per_s": cells * len(rule) / seconds,
-            "moments": src.profile.most_moments(src.domain.diameter() / constants.c),
-        }
-        return series
+        cells = len(config.radii) * len(config.times)
+        for r in sweep:
+            report.profile[r] = {
+                "seconds": seconds,
+                "cells": cells,
+                "nodes": len(rule),
+                "node_evals_per_s": cells * len(rule) / seconds,
+                "moments": src.profile.most_moments(src.domain.diameter() / constants.c),
+                "sweep": list(sweep),
+            }
+        return series[representation]
 
     def emit(task_report: TaskReport, name: str, writer, *args) -> None:
         """Write CSV artifact ``name`` as ``writer(*args, path)``, if CSVs are on, once per run."""

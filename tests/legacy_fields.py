@@ -9,8 +9,9 @@ agree to rounding, not bit for bit.  The pulse formulas are frozen too, in
 each pulse summed its nodes itself, in ``block_sums``.  The node frame,
 kernel columns and envelope Hessian as they stood before the engine laid
 nodes out one row per component are frozen in ``legacy_frame``,
-``legacy_zone_at``, ``legacy_jefimenko_at`` and ``legacy_hessian``.  Do
-not edit these bodies to follow the package.
+``legacy_zone_at``, ``legacy_jefimenko_at`` and ``legacy_hessian``, and
+the rule build that took a Legendre rule per axis in
+``legacy_build_rule``.  Do not edit these bodies to follow the package.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from retfield.domains import strictly_outside
+from retfield.domains import Ball, Box, strictly_outside
 from retfield.sources import (
     DifferentiatedGaussianPulse,
     SineSquaredPulse,
@@ -171,3 +172,35 @@ def legacy_jefimenko_at(src, rule, x, constants):
     current = (weighted / r)[None, :]
     charge = (charge_weights / r[:, None]).T.copy()
     return r / constants.c, (current, charge)
+
+
+def _legacy_gauss_legendre(order, lo, hi):
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
+def legacy_build_rule(domain, order):
+    """(nodes, weights) of a box or ball rule, one Legendre rule per axis."""
+    if isinstance(domain, Box):
+        axes = [_legacy_gauss_legendre(order, domain.lo[a], domain.hi[a]) for a in range(3)]
+        xs = np.stack(
+            np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij"), axis=-1
+        ).reshape(-1, 3)
+        ws = (
+            axes[0][1][:, None, None] * axes[1][1][None, :, None] * axes[2][1][None, None, :]
+        ).reshape(-1)
+        return xs, ws
+    assert isinstance(domain, Ball)
+    r, wr = _legacy_gauss_legendre(order, 0.0, domain.radius)
+    mu, wmu = _legacy_gauss_legendre(order, -1.0, 1.0)
+    nphi = 2 * order
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    wphi = np.full(nphi, 2.0 * np.pi / nphi)
+    rg, mg, pg = np.meshgrid(r, mu, phi, indexing="ij")
+    sin_t = np.sqrt(1.0 - mg**2)
+    nodes = domain.center + np.stack(
+        [rg * sin_t * np.cos(pg), rg * sin_t * np.sin(pg), rg * mg], axis=-1
+    ).reshape(-1, 3)
+    weights = ((wr * r**2)[:, None, None] * wmu[None, :, None] * wphi[None, None, :]).reshape(-1)
+    return nodes, weights

@@ -24,9 +24,16 @@ from legacy_fields import (
 )
 
 from retfield import sources
-from retfield.analysis import sample_waveforms
+from retfield.analysis import sample_representations, sample_waveforms
 from retfield.domains import Ball, Box
-from retfield.evaluators import KERNELS, JefimenkoKernel, ObservationPoint, ZoneKernel, zone_field
+from retfield.evaluators import (
+    KERNELS,
+    JefimenkoKernel,
+    ObservationPoint,
+    ZoneKernel,
+    kernel_terms,
+    zone_field,
+)
 from retfield.geometry import NATURAL, PhysicalConstants, double_gradient_kernel, far_kernel
 from retfield.quadrature import build_rule
 from retfield.sources import (
@@ -266,6 +273,69 @@ def test_thread_count_and_radius_alone_do_not_change_fields(representation):
         assert alone[0].tobytes() == reference[i].tobytes(), radius
 
 
+BOTH = ("zones", "jefimenko")
+
+
+def _joint(src, rule, radii=RADII, threads=1):
+    kwargs = dict(radii=radii, times=TIMES, rule=rule, threads=threads, **RAY)
+    return {r: series.fields for r, series in sample_representations(src, BOTH, **kwargs).items()}
+
+
+@pytest.mark.parametrize("pulse", sorted(PULSES))
+@pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+def test_joint_sweep_matches_separate_sampling(envelope, pulse):
+    """Both forms from one frame and one ``column_sums`` call against each
+    sampled alone.  The sine-squared sums keep their bits; the
+    derivative-of-Gaussian products round differently at 16 stacked rows
+    than at 12 and 4, within 1e-15 of each radius's peak."""
+    src = source(envelope, pulse)
+    rule = build_rule(src.domain, 12)
+    joint = _joint(src, rule)
+    for representation in BOTH:
+        alone = sample_waveforms(src, representation, radii=RADII, times=TIMES, rule=rule, **RAY)
+        got = joint[representation]
+        assert got.shape == alone.fields.shape and not got.flags.writeable
+        if pulse == "sine-squared" or got.tobytes() == alone.fields.tobytes():
+            assert got.tobytes() == alone.fields.tobytes()
+            continue
+        peaks = np.linalg.norm(alone.fields.sum(axis=-2), axis=-1).max(axis=1)
+        shift = np.abs(got - alone.fields).max(axis=(1, 2, 3))
+        assert np.all(shift <= 1e-15 * peaks)
+
+
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+@pytest.mark.parametrize("pulse", sorted(PULSES))
+def test_one_representation_sweep_is_the_kernel_composition(pulse, representation):
+    """A sweep of one representation gives, bit for bit, what
+    ``kernel.fields(kernel.at(x), times)`` gives at each radius: sampling
+    one form alone is unchanged by the shared sweep."""
+    src = source("gaussian", pulse)
+    rule = build_rule(src.domain, 10)
+    series = sample_waveforms(src, representation, radii=RADII, times=TIMES, rule=rule, **RAY)
+    kernel = KERNELS[representation](src, rule, NATURAL)
+    for i, x in enumerate(_ray_points()):
+        expected = kernel.fields(kernel.at(x), TIMES)
+        assert series.fields[i].tobytes() == expected.tobytes()
+        assert kernel_terms([kernel], x, TIMES)[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pulse", sorted(PULSES))
+def test_joint_sweep_thread_count_and_radius_alone_do_not_change_fields(pulse):
+    """The joint sweep gives each radius the same bits at 1, 2 and 4
+    threads, and whether it is sampled with the other radii or alone."""
+    src = source("box", pulse, tau=2.0)
+    rule = build_rule(src.domain, 10)
+    reference = _joint(src, rule)
+    for threads in (2, 4):
+        threaded = _joint(src, rule, threads=threads)
+        for representation in BOTH:
+            assert threaded[representation].tobytes() == reference[representation].tobytes()
+    for i, radius in enumerate(RADII):
+        alone = _joint(src, rule, radii=[radius])
+        for representation in BOTH:
+            assert alone[representation][0].tobytes() == reference[representation][i].tobytes()
+
+
 def _edges(pulse, delays):
     """Each delay's support edges t_on + d and t_on + tau + d, two floats
     either side of each, sorted."""
@@ -281,8 +351,9 @@ def _edges(pulse, delays):
 
 @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
 def test_prefix_sums_at_support_edges(representation):
-    """At the times the nearest, farthest and a middle node enter and leave
-    the burst, and at their float neighbours."""
+    """The shared engine (``moment_sums``) at the times the nearest,
+    farthest and a middle node enter and leave the burst, and at their
+    float neighbours."""
     src = source("box", t_on=0.75, tau=2.0)
     rule = build_rule(src.domain, 10)
     kernel = KERNELS[representation](src, rule, NATURAL)
@@ -303,9 +374,9 @@ def test_prefix_sums_keep_support_edges_exact():
     """On dyadic delays every support edge is hit exactly.  A column that
     picks out one node then sums to that node's F, f and f' as the block
     path evaluates them.  Where the node is outside its burst (f exactly
-    zero), the prefix sums equal those values exactly (f = f' = 0, F = 0
-    or tau/2): a node at an edge of its burst is not summed as a run
-    member."""
+    zero), the shared engine's sums equal those values exactly (f = f' =
+    0, F = 0 or tau/2): a node at an edge of its burst is not summed as a
+    run member."""
     rng = np.random.default_rng(7)
     pulse = SineSquaredPulse(t_on=0.5, tau=2.0)
     delays = 1.0 + rng.integers(0, 2**10, 48) / 2**10  # 2**-10 steps, some tied
@@ -351,6 +422,7 @@ def test_far_radius_late_switch_on_matches_per_cell_formulas(representation):
 
 @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
 def test_thread_count_does_not_change_prefix_sums(representation):
+    """The shared engine's sine-squared sums on a box, at 1, 2 and 4 threads."""
     src = source("box", tau=2.0)
     rule = build_rule(src.domain, 10)
     kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)
@@ -365,8 +437,8 @@ def test_exact_zeros_match_block_path(representation, monkeypatch):
     """On a box grid that starts ahead of the light front and ends after
     the burst has left every node, each cell the block path leaves exactly
     zero -- the whole field ahead of the front, the f and f' terms after
-    the burst -- has the same bits, signed zeros included, in the prefix
-    path; every other cell agrees to rounding."""
+    the burst -- has the same bits, signed zeros included, in the shared
+    engine (``moment_sums``); every other cell agrees to rounding."""
     src = source("box", tau=2.0)
     rule = build_rule(src.domain, 10)
     kwargs = dict(radii=RADII, times=TIMES, rule=rule, **RAY)

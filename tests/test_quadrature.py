@@ -1,11 +1,27 @@
 import numpy as np
 import pytest
+from legacy_fields import legacy_build_rule
 
 from retfield.domains import Ball, Box
 from retfield.quadrature import build_rule
 
 UNIT_BOX = Box(lo=(0, 0, 0), hi=(1, 1, 1))
 SYM_BOX = Box(lo=(-1, -1, -1), hi=(1, 1, 1))
+
+
+@pytest.mark.parametrize("order", [4, 11, 16])
+@pytest.mark.parametrize(
+    "domain",
+    [Box(lo=(-0.3, -0.1, 0.2), hi=(0.4, 0.5, 0.9)), Ball(center=(0.1, -0.2, 0.3), radius=0.7)],
+    ids=["box", "ball"],
+)
+def test_rule_keeps_the_per_axis_build_bits(domain, order):
+    """One Legendre rule mapped onto every interval gives the nodes and
+    weights of one Legendre rule per interval, bit for bit."""
+    rule = build_rule(domain, order)
+    nodes, weights = legacy_build_rule(domain, order)
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
 
 
 def integrate(fn, rule):

@@ -79,6 +79,29 @@ tasks = compare
 """
 
 
+#: A grid every task can run on; tasks and representation are replaced.
+ALL_TASKS = """
+[source]
+sigma = 0.05
+
+[pulse]
+tau = 6.0
+
+[observation]
+radii = geometric 0.9 11.0 6
+times = uniform 0 28 113
+
+[quadrature]
+base_order = 8
+max_order = 12
+tol = 1e-2
+
+[run]
+tasks = all
+representation = zones
+"""
+
+
 def quick_config(tasks="decompose", extra=""):
     return parse_config(QUICK.replace("tasks = decompose", f"tasks = {tasks}") + extra)
 
@@ -172,18 +195,68 @@ class TestRunTasks:
         "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]
     )
     def test_each_representation_sampled_once(self, tmp_path, monkeypatch, tasks):
-        # both task pairs use zones and jefimenko; each is sampled once per run
+        # both task pairs use zones and jefimenko; each is sampled once per
+        # run, both in one sweep
         calls = []
-        sample = runner.sample_waveforms
+        sample = runner.sample_representations
 
-        def counting(src, representation, *args, **kwargs):
-            calls.append(representation)
-            return sample(src, representation, *args, **kwargs)
+        def counting(src, representations, *args, **kwargs):
+            calls.append(tuple(representations))
+            return sample(src, representations, *args, **kwargs)
 
-        monkeypatch.setattr(runner, "sample_waveforms", counting)
+        monkeypatch.setattr(runner, "sample_representations", counting)
         report = run_tasks(quick_config(tasks=tasks), output_dir=tmp_path)
         assert [t.status for t in report.tasks] == ["ok", "ok"]
-        assert calls == ["zones", "jefimenko"]
+        assert calls == [("zones", "jefimenko")]
+        for entry in report.profile.values():
+            assert entry["sweep"] == ["zones", "jefimenko"]
+        assert report.profile["zones"]["seconds"] == report.profile["jefimenko"]["seconds"]
+
+    @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+    @pytest.mark.parametrize("name", sorted(runner._TASK_RUNNERS))
+    def test_task_reads_what_its_table_entry_declares(
+        self, tmp_path, monkeypatch, name, representation
+    ):
+        """Run alone, each task samples exactly the representations that
+        its ``_TASK_READS`` entry declares, and the run's one sweep covers
+        exactly those."""
+        read = set()
+        task = runner._TASK_RUNNERS[name]
+
+        def recording(src, config, constants, sample, emit):
+            return task(src, config, constants, lambda r: (read.add(r), sample(r))[1], emit)
+
+        monkeypatch.setitem(runner._TASK_RUNNERS, name, recording)
+        text = ALL_TASKS.replace("tasks = all", f"tasks = {name}")
+        config = parse_config(text.replace("= zones", f"= {representation}"))
+        report = run_tasks(config, output_dir=tmp_path)
+        assert [t.status for t in report.tasks] == ["ok"]
+        declared = {representation if r is None else r for r in runner._TASK_READS[name]}
+        assert read == declared
+        assert set(report.profile) == declared
+        for entry in report.profile.values():
+            assert entry["sweep"] == [r for r in ("zones", "jefimenko") if r in declared]
+
+    @pytest.mark.parametrize("tasks", ["decompose compare", "compare decompose"])
+    def test_failed_sampling_fails_only_the_tasks_that_read_it(self, tmp_path, monkeypatch, tasks):
+        """The Jefimenko kernel fails, so the joint sweep does; decompose,
+        which reads zones only, still gets its series and is ok."""
+
+        def failing(self, r, theta, slots):
+            raise FloatingPointError("charge columns")
+
+        monkeypatch.setattr(evaluators.JefimenkoKernel, "columns", failing)
+        report = run_tasks(quick_config(tasks=tasks), output_dir=tmp_path)
+        statuses = {t.name: t.status for t in report.tasks}
+        assert statuses == {"decompose": "ok", "compare": "error"}
+        compare = next(t for t in report.tasks if t.name == "compare")
+        assert "charge columns" in compare.details["error"]
+        assert report.profile["zones"]["sweep"] == ["zones"]
+        assert "jefimenko" not in report.profile
+        alone = run_tasks(quick_config(tasks="decompose"), output_dir=tmp_path / "alone")
+        assert alone.tasks[0].status == "ok"
+        name = "waveform_zones.csv"
+        assert (tmp_path / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
     def test_compare_reports_residuals(self, tmp_path):
         # coarse grid: this exercises the task plumbing, not physics precision
@@ -198,9 +271,16 @@ class TestRunTasks:
         path = Path(__file__).resolve().parent.parent / "configs" / "smooth_compare.cfg"
         text = path.read_text().replace("tasks = compare frontcheck", "tasks = compare")
         report = run_tasks(parse_config(text), output_dir=tmp_path)
-        assert report.tasks[0].details["residual_max"] < 1e-6
-        assert (tmp_path / "waveform_zones.csv").exists()
-        assert (tmp_path / "waveform_jefimenko.csv").exists()
+        details = report.tasks[0].details
+        assert details["residual_max"] < 1e-6
+        zones, jef = (
+            np.loadtxt(tmp_path / f"waveform_{name}.csv", delimiter=",", skiprows=1, usecols=(2, 3, 4))
+            for name in ("zones", "jefimenko")
+        )
+        # half the forms' gap, max norm: 1.0e-11, above the probe's estimate
+        assert details["half_gap_max"] == 0.5 * np.abs(zones - jef).max()
+        assert 5e-12 < details["half_gap_max"] < 2e-11
+        assert details["half_gap_max"] > details["quadrature"]["error_estimate"]
 
     def test_residual_of_peak_ignores_cells_the_pulse_has_left(self, tmp_path):
         """Where the field is noise-sized, a cell's own magnitude makes
