@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluators import KERNELS, kernel_terms
+from .evaluators import NodeKernel
 from .geometry import NATURAL, PhysicalConstants, Vec3, as_vec3
 from .quadrature import QuadratureRule
 from .sources import SourceModel
@@ -110,13 +110,11 @@ def sample_representations(
 
     Threads split the work by radius; each radius is evaluated at all
     times for every representation at once, on one node frame and one call
-    of the pulse's sums (``evaluators.kernel_terms``).  Every radius comes
+    of the pulse's sums (``evaluators.NodeKernel.sample``).  Every radius comes
     out the same whatever the thread layout, so the output is deterministic
     for a given build and list of representations.  The arrays are
     read-only, so one series can be shared by several consumers.
     """
-    if unknown := sorted(set(representations) - set(KERNELS)):
-        raise ValueError(f"unknown representations {unknown}; expected some of {sorted(KERNELS)}")
     origin = as_vec3(ray_origin)
     direction = as_vec3(ray_direction)
     norm = np.linalg.norm(direction)
@@ -127,12 +125,12 @@ def sample_representations(
     times = np.asarray(times, dtype=float)
     axis = src.polarization if component_axis is None else as_vec3(component_axis)
 
-    kernels = [KERNELS[representation](src, rule, constants) for representation in representations]
-    fields = [np.empty((radii.size, times.size, len(k.terms), 3)) for k in kernels]
+    kernel = NodeKernel(src, rule, representations, constants)
+    fields = [np.empty((radii.size, times.size, len(form.terms), 3)) for form in kernel.forms]
 
     def run(i):
         try:
-            terms = kernel_terms(kernels, origin + radii[i] * direction, times)
+            terms = kernel.sample(origin + radii[i] * direction, times)
         except Exception as exc:
             span = f"{times[0]}..{times[-1]}" if times.size else "none"
             raise RuntimeError(f"field evaluation failed at r={radii[i]}, t={span}: {exc}") from exc
@@ -143,10 +141,10 @@ def sample_representations(
         # list() drains the map so a worker's exception is raised here
         list(map(run, range(radii.size)) if pool is None else pool.map(run, range(radii.size)))
     series = {}
-    for kernel, out in zip(kernels, fields):
+    for form, out in zip(kernel.forms, fields):
         out.flags.writeable = False
-        series[kernel.representation] = WaveformSeries(
-            origin, direction, radii, times, kernel.terms, out, axis, kernel.representation
+        series[form.representation] = WaveformSeries(
+            origin, direction, radii, times, form.terms, out, axis, form.representation
         )
     return series
 

@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from .domains import Ball, Box, Domain, strictly_outside
-from .evaluators import EVALUATORS
+from .evaluators import KERNELS
 from .geometry import PhysicalConstants
 from .sources import SourceModel, make_envelope, make_profile
 
@@ -426,7 +426,7 @@ def _finalize_run(raw) -> dict[str, Any]:
         if task not in TASKS:
             raise _fail("run", "tasks", f"unknown task {task!r} (choose from {TASKS})")
     representation = str(run.get("representation", "zones"))
-    if representation not in EVALUATORS:
+    if representation not in KERNELS:
         raise _fail(
             "run", "representation", f"unknown representation {representation!r}"
         )

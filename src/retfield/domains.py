@@ -37,10 +37,6 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def contains(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((p >= self.lo) & (p <= self.hi), axis=-1)
-
     def exterior_distance(self, x) -> float:
         """Euclidean distance from x to the box (0 if x is inside)."""
         x = as_vec3(x)

@@ -17,16 +17,18 @@ the disagreement.  ``refined_field`` is the one order-refinement ladder: it
 climbs quadrature orders at one observation point until the field settles,
 and raises ConvergenceError when it stalls instead.
 
-Both run on one time-batched engine.  A kernel (``ZoneKernel``,
-``JefimenkoKernel``) weights the source's node factors
-(``SourceModel.current_factor``, ``charge_gradient_factor``) by the rule's
-weights once per sampling.  It writes its kernel columns from the node
-frame of one observation point (``columns``) and assembles its terms from
-the pulse's node sums of F, f and f' against them (``column_sums``, see
-``sources``; ``terms_from``).  ``kernel_terms`` runs several kernels on one
-frame and one ``column_sums`` call; ``at`` and ``fields`` compose one.
-``zone_field`` and ``jefimenko_field`` run a kernel at a single time;
-``analysis.sample_representations`` runs ``kernel_terms`` over a grid.
+Both run on one time-batched engine.  A ``NodeKernel`` is built once per
+sampling for one or more representations; it weights the source's node
+factors (``SourceModel.current_factor``, ``charge_gradient_factor``) by the
+rule's weights, each once.  At one observation point it writes every
+form's kernel columns from one node frame (``columns``), and assembles
+each form's terms from one call of the pulse's node sums of F, f and f'
+against them (``sample``; ``column_sums``, see ``sources``).  A form
+(``ZoneKernel``, ``JefimenkoKernel``) holds no node data: it writes its
+columns into its rows of the stack and turns its sums into terms
+(``terms_from``).  ``zone_field`` and ``jefimenko_field`` sample one form
+at a single time; ``analysis.sample_representations`` samples several
+over a grid.
 """
 
 from __future__ import annotations
@@ -102,81 +104,83 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _NodeKernel:
-    """Per sampling a kernel holds, read-only since it serves every radius
-    and thread, the (3, nodes) node coordinates and the weighted current
-    factor w*A*g.  It has ``widths`` rows of columns per kind (F, f, f')."""
+class NodeKernel:
+    """The kernel of one or more representations (``KERNELS``) on one
+    sampling: one source, rule and constants.
 
-    def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
+    It holds, read-only since it serves every radius and thread, the
+    (3, nodes) node coordinates, the weighted current factor w*A*g and, only
+    when the Jefimenko form is among its forms, the (3, nodes) weighted
+    charge gradient factor -w*A*(H . p_hat), the gradient of the charge per
+    unit F(t).  Per kind (F, f, f') its forms' rows of columns are stacked
+    in their given order: ``spans`` holds, per form, the slice of each
+    kind's stack that is its own (None for no rows).
+    """
+
+    def __init__(self, src: SourceModel, rule: QuadratureRule, representations,
+                 constants: PhysicalConstants = NATURAL):
+        if unknown := sorted(set(representations) - set(KERNELS)):
+            raise ValueError(
+                f"unknown representations {unknown}; expected some of {sorted(KERNELS)}"
+            )
         self.src, self.constants = src, constants
+        self.forms = [KERNELS[representation] for representation in representations]
         self.nodes = rule.node_rows
         self.weighted = _read_only(rule.weights * src.current_factor(rule.nodes))
+        if "jefimenko" in representations:
+            charge_factor = src.charge_gradient_factor(rule.nodes).T
+            self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
+        ends = np.cumsum([form.widths for form in self.forms], axis=0)
+        self.spans = [[slice(e - w, e) if w else None for w, e in zip(form.widths, end)]
+                      for form, end in zip(self.forms, ends)]
+        self.height, self.splits = ends[-1].sum(), np.cumsum(ends[-1])[:-1]
 
-    def at(self, x: Vec3):
-        """Delays R/c and this kernel's columns at ``x``."""
+    def columns(self, x: Vec3):
+        """Delays R/c (nodes,) at ``x`` and, per kind, every form's columns
+        stacked in one (rows, nodes) array, or None for no rows."""
         r, theta = _frame(self.src, self.nodes, x)
-        return r / self.constants.c, self.columns(r, theta, _stack([self], r.size)[0])
+        blocks = np.split(np.empty((self.height, r.size)), self.splits)
+        stacked = [block if len(block) else None for block in blocks]
+        for form, span in zip(self.forms, self.spans):
+            slots = [None if s is None else block[s] for block, s in zip(stacked, span)]
+            form.columns(self, r, theta, slots)
+        return np.divide(r, self.constants.c, out=r), stacked
+
+    def sample(self, x: Vec3, times: np.ndarray) -> list:
+        """Each form's terms at ``x`` and each of ``times``, (times, terms,
+        3): the forms share the node frame, and the delays' sort and pulse
+        expansion of one ``column_sums`` call on their stacked columns."""
+        sums = self.src.profile.column_sums(*self.columns(x), times)
+        out = []
+        for form, span in zip(self.forms, self.spans):
+            parts = [None if s is None else kind[:, s] for kind, s in zip(sums, span)]
+            out.append(form.terms_from(self, parts))
+        return out
 
 
-def _stack(kernels, n: int):
-    """Per kind, every kernel's rows of columns stacked in one (rows, n)
-    buffer, and per kernel the slice of each kind's stack that is its own
-    (None for no rows)."""
-    widths = np.array([kernel.widths for kernel in kernels])
-    stacked = np.split(np.empty((widths.sum(), n)), np.cumsum(widths.sum(axis=0))[:-1])
-    spans = [[slice(e - w, e) if w else None for w, e in zip(*pair)]
-             for pair in zip(widths, np.cumsum(widths, axis=0))]
-    return [block if len(block) else None for block in stacked], spans
-
-
-def kernel_terms(kernels, x: Vec3, times: np.ndarray) -> list:
-    """Each kernel's terms at ``x`` and each of ``times``, (times, terms, 3).
-
-    The kernels (of one source, rule and constants) share the node frame,
-    and the delays' sort and pulse expansion of one ``column_sums`` call on
-    their stacked columns.  One kernel gets ``kernel.fields(kernel.at(x), times)``."""
-    head = kernels[0]
-    r, theta = _frame(head.src, head.nodes, x)
-    stacked, spans = _stack(kernels, r.size)
-    for kernel, span in zip(kernels, spans):
-        kernel.columns(r, theta, [None if s is None else c[s] for c, s in zip(stacked, span)])
-    del theta  # as ``at`` does, hold no frame but the delays while the sums peak
-    sums = head.src.profile.column_sums(np.divide(r, head.constants.c, out=r), stacked, times)
-    return [
-        kernel.terms_from([None if s is None else part[:, s] for part, s in zip(sums, span)])
-        for kernel, span in zip(kernels, spans)
-    ]
-
-
-class ZoneKernel(_NodeKernel):
+class ZoneKernel:
     """Near + intermediate + far integrals with explicit 1/R^p kernels."""
 
     representation = "zones"
     terms = ("near", "intermediate", "far")
     widths = (4, 4, 4)
 
-    def columns(self, r, theta, slots):
+    def columns(self, kernel: NodeKernel, r, theta, slots):
         """For p = 3, 2, 1, the (4, nodes) columns [wAg/R^p, theta (theta .
         p_hat) wAg/R^p], written into ``slots``, which hold theta . p_hat
         in rows not yet written; ``theta`` is overwritten."""
-        pol = self.src.polarization
+        pol = kernel.src.polarization
         dot = np.multiply(theta[0], pol[0], out=slots[0][0])
         for row, component in zip(theta[1:], pol[1:]):
             dot += np.multiply(row, component, out=slots[0][1])
         theta *= dot
         for columns, p in zip(slots, (3, 2, 1)):
             scalar = columns[0]
-            np.divide(self.weighted, np.power(r, p, out=scalar), out=scalar)
+            np.divide(kernel.weighted, np.power(r, p, out=scalar), out=scalar)
             np.multiply(theta, scalar, out=columns[1:])
-        return list(slots)
 
-    def fields(self, geometry, times: np.ndarray) -> np.ndarray:
-        """Terms at each of ``times``, shape (times, 3, 3)."""
-        delays, columns = geometry
-        return self.terms_from(self.src.profile.column_sums(delays, columns, times))
-
-    def terms_from(self, sums) -> np.ndarray:
-        c, k_c, pol = self.constants.c, self.constants.coulomb, self.src.polarization
+    def terms_from(self, kernel: NodeKernel, sums) -> np.ndarray:
+        c, k_c, pol = kernel.constants.c, kernel.constants.coulomb, kernel.src.polarization
         s3, s2, s1 = sums
         out = np.empty((s3.shape[0], 3, 3))
         # (delta - 3 theta theta^T) @ v  ==  v - 3 theta (theta . v)
@@ -186,50 +190,41 @@ class ZoneKernel(_NodeKernel):
         return out
 
 
-class JefimenkoKernel(_NodeKernel):
+class JefimenkoKernel:
     """Retarded current and charge form ("current", "charge").
 
     The time derivative of the current integral is taken analytically on
-    the pulse, under the integral.  The kernel also holds the (3, nodes)
-    weighted charge gradient factor -w*A*(H . p_hat), the gradient of the
-    charge per unit F(t).
+    the pulse, under the integral.
     """
 
     representation = "jefimenko"
     terms = ("current", "charge")
     widths = (3, 0, 1)
 
-    def __init__(self, src: SourceModel, rule: QuadratureRule, constants=NATURAL):
-        super().__init__(src, rule, constants)
-        charge_factor = src.charge_gradient_factor(rule.nodes).T
-        self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
-
-    def columns(self, r, theta, slots):
+    def columns(self, kernel: NodeKernel, r, theta, slots):
         """The (1, nodes) column wAg/R and the (3, nodes) columns
         -wA(H . p_hat)/R, written into ``slots``; ``theta`` is not read."""
         charge, _, current = slots
-        np.divide(self.weighted, r, out=current[0])
-        np.divide(self.charge_weights, r, out=charge)
-        return current, charge
+        np.divide(kernel.weighted, r, out=current[0])
+        np.divide(kernel.charge_weights, r, out=charge)
 
-    def fields(self, geometry, times: np.ndarray) -> np.ndarray:
-        """Terms at each of ``times``, shape (times, 2, 3)."""
-        delays, (current, charge) = geometry
-        return self.terms_from(self.src.profile.column_sums(delays, (charge, None, current), times))
-
-    def terms_from(self, sums) -> np.ndarray:
-        c, k_c = self.constants.c, self.constants.coulomb
+    def terms_from(self, kernel: NodeKernel, sums) -> np.ndarray:
+        c, k_c = kernel.constants.c, kernel.constants.coulomb
         charge, _, current = sums
         out = np.empty((charge.shape[0], 2, 3))
-        out[:, 0] = -(k_c / c**2) * self.src.polarization * current
+        out[:, 0] = -(k_c / c**2) * kernel.src.polarization * current
         out[:, 1] = -k_c * charge
         return out
 
 
-def _field_at(kernel, obs: ObservationPoint) -> FieldDecomposition:
-    fields = kernel.fields(kernel.at(obs.x), np.array([obs.t]))[0]
+#: The representations' kernel forms, keyed by representation tag.
+KERNELS = {form.representation: form for form in (ZoneKernel(), JefimenkoKernel())}
+
+
+def _field_at(representation: str, src, obs: ObservationPoint, rule, constants):
+    (fields,) = NodeKernel(src, rule, (representation,), constants).sample(obs.x, np.array([obs.t]))
     return FieldDecomposition(
-        terms=dict(zip(kernel.terms, fields)), representation=kernel.representation
+        terms=dict(zip(KERNELS[representation].terms, fields[0])), representation=representation
     )
 
 
@@ -240,7 +235,7 @@ def zone_field(
     constants: PhysicalConstants = NATURAL,
 ) -> FieldDecomposition:
     """Field as near + intermediate + far integrals (explicit radial kernels)."""
-    return _field_at(ZoneKernel(src, rule, constants), obs)
+    return _field_at("zones", src, obs, rule, constants)
 
 
 def jefimenko_field(
@@ -250,13 +245,11 @@ def jefimenko_field(
     constants: PhysicalConstants = NATURAL,
 ) -> FieldDecomposition:
     """Field from retarded current and charge densities (see JefimenkoKernel)."""
-    return _field_at(JefimenkoKernel(src, rule, constants), obs)
+    return _field_at("jefimenko", src, obs, rule, constants)
 
 
-#: Evaluator registry keyed by representation tag: one observation point...
+#: Evaluator registry keyed by representation tag, at one observation point.
 EVALUATORS = {"zones": zone_field, "jefimenko": jefimenko_field}
-#: ...and a whole grid, one kernel per sampling.
-KERNELS = {"zones": ZoneKernel, "jefimenko": JefimenkoKernel}
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,15 +282,6 @@ class PointDipole:
             profile=src.profile,
         )
 
-    def moment(self, t) -> np.ndarray:
-        return self.moment_scale * np.asarray(self.profile.primitive(t))[..., None] * self.direction
-
-    def moment_rate(self, t) -> np.ndarray:
-        return self.moment_scale * np.asarray(self.profile.value(t))[..., None] * self.direction
-
-    def moment_accel(self, t) -> np.ndarray:
-        return self.moment_scale * np.asarray(self.profile.derivative(t))[..., None] * self.direction
-
 
 def dipole_oracle_field(
     dipole: PointDipole,
@@ -311,10 +295,11 @@ def dipole_oracle_field(
     if r == 0.0:
         raise ValueError("observation point coincides with the dipole position")
     n = d / r
-    t_ret = obs.t - r / c
-    p = dipole.moment(t_ret)
-    p_rate = dipole.moment_rate(t_ret)
-    p_accel = dipole.moment_accel(t_ret)
+    # the moment p(t_ret) = moment_scale * F * direction, and its rate and acceleration
+    p, p_rate, p_accel = (
+        dipole.moment_scale * value * dipole.direction
+        for value in dipole.profile.evaluate(obs.t - r / c)
+    )
 
     near = k_c * (3.0 * n * (n @ p) - p) / r**3
     intermediate = k_c * (3.0 * n * (n @ p_rate) - p_rate) / (c * r**2)

@@ -26,14 +26,7 @@ from legacy_fields import (
 from retfield import sources
 from retfield.analysis import sample_representations, sample_waveforms
 from retfield.domains import Ball, Box
-from retfield.evaluators import (
-    KERNELS,
-    JefimenkoKernel,
-    ObservationPoint,
-    ZoneKernel,
-    kernel_terms,
-    zone_field,
-)
+from retfield.evaluators import NodeKernel, ObservationPoint, zone_field
 from retfield.geometry import NATURAL, PhysicalConstants, double_gradient_kernel, far_kernel
 from retfield.quadrature import build_rule
 from retfield.sources import (
@@ -108,28 +101,50 @@ def test_matches_per_cell_formulas(representation, envelope, pulse):
     assert not np.any(series.fields[:, 0]) and not np.any(expected[:, 0])
 
 
+BOTH = ("zones", "jefimenko")
+
+
 @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
 def test_kernel_weights_are_rule_weights_times_source_factors(envelope, monkeypatch):
-    """Both kernels take their node factors from SourceModel, bit for bit;
-    the zones kernel never evaluates the Hessian."""
+    """The kernel takes its node factors from SourceModel, bit for bit;
+    a zones-only kernel never evaluates the Hessian."""
     src = source(envelope)
     rule = build_rule(src.domain, 8)
     current = rule.weights * src.current_factor(rule.nodes)
     charge = rule.weights[:, None] * src.charge_gradient_factor(rule.nodes)
-    jefimenko = JefimenkoKernel(src, rule, NATURAL)
-    assert jefimenko.weighted.tobytes() == current.tobytes()
-    assert jefimenko.charge_weights.tobytes() == np.ascontiguousarray(charge.T).tobytes()
-    assert jefimenko.nodes.tobytes() == np.ascontiguousarray(rule.nodes.T).tobytes()
-    zones = ZoneKernel(src, rule, NATURAL)
-    shared = [zones.nodes, zones.weighted, jefimenko.nodes, jefimenko.weighted]
-    for array in shared + [jefimenko.charge_weights]:
+    kernel = NodeKernel(src, rule, BOTH, NATURAL)
+    assert kernel.weighted.tobytes() == current.tobytes()
+    assert kernel.charge_weights.tobytes() == np.ascontiguousarray(charge.T).tobytes()
+    assert kernel.nodes.tobytes() == np.ascontiguousarray(rule.nodes.T).tobytes()
+    for array in (kernel.nodes, kernel.weighted, kernel.charge_weights):
         assert array.flags.c_contiguous and not array.flags.writeable
 
     def no_hessian(self, points):
         raise AssertionError("the zones kernel evaluated the Hessian")
 
     monkeypatch.setattr(type(src.envelope), "hessian", no_hessian)
-    assert ZoneKernel(src, rule, NATURAL).weighted.tobytes() == current.tobytes()
+    zones = NodeKernel(src, rule, ("zones",), NATURAL)
+    assert zones.weighted.tobytes() == current.tobytes()
+    assert not hasattr(zones, "charge_weights")
+
+
+@pytest.mark.parametrize("envelope", ["gaussian", "truncated"])
+def test_joint_kernel_evaluates_the_envelope_once(envelope, monkeypatch):
+    """A kernel of both forms, as a joint sweep builds it, takes the
+    envelope's value once and its Hessian once, and every radius reads them."""
+    src = source(envelope)
+    rule = build_rule(src.domain, 8)
+    calls = []
+    for name in ("value", "hessian"):
+        method = getattr(type(src.envelope), name)
+
+        def counted(self, points, name=name, method=method):
+            calls.append(name)
+            return method(self, points)
+
+        monkeypatch.setattr(type(src.envelope), name, counted)
+    sample_representations(src, BOTH, radii=RADII, times=TIMES, rule=rule, **RAY)
+    assert calls == ["value", "hessian"]
 
 
 def _ray_points():
@@ -138,11 +153,18 @@ def _ray_points():
 
 
 def _kernel_geometries(src, rule):
-    """(engine, frozen) delays and columns of both kernels at each ray point."""
-    zones, jefimenko = ZoneKernel(src, rule, NATURAL), JefimenkoKernel(src, rule, NATURAL)
+    """(engine, frozen) delays and columns of both forms at each ray point,
+    the engine's from one kernel of both: per form, its rows of each kind's
+    stack in kind order, so the Jefimenko form's are (charge, current)."""
+    kernel = NodeKernel(src, rule, BOTH, NATURAL)
     for x in _ray_points():
-        yield "zones", zones.at(x), legacy_zone_at(src, rule, x, NATURAL)
-        yield "jefimenko", jefimenko.at(x), legacy_jefimenko_at(src, rule, x, NATURAL)
+        delays, stacked = kernel.columns(x)
+        zones, jefimenko = (
+            [c[s] for c, s in zip(stacked, span) if s is not None] for span in kernel.spans
+        )
+        yield "zones", (delays, zones), legacy_zone_at(src, rule, x, NATURAL)
+        frozen_delays, (current, charge) = legacy_jefimenko_at(src, rule, x, NATURAL)
+        yield "jefimenko", (delays, jefimenko), (frozen_delays, (charge, current))
 
 
 @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
@@ -179,9 +201,9 @@ def test_node_frame_matches_frozen_bodies_for_oblique_polarization(envelope):
                 assert np.abs(column - frozen).max() <= 1e-15 * np.abs(frozen).max()
 
 
-#: Node-length float arrays that ``ZoneKernel.at`` may hold beyond the ones
-#: it returns, and that ``JefimenkoKernel`` construction may hold at its peak
-#: (the (nodes, 3) layout held 10 and 32.4).
+#: Node-length float arrays that ``NodeKernel.columns`` of the zones form may
+#: hold beyond the ones it returns, and that the construction of a kernel of
+#: both forms may hold at its peak (the (nodes, 3) layout held 10 and 32.4).
 AT_SCRATCH_ARRAYS = 5
 CONSTRUCTION_ARRAYS = 20
 
@@ -197,12 +219,12 @@ def test_kernel_allocations_stay_within_a_few_node_arrays(envelope):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        JefimenkoKernel(src, rule, NATURAL)
+        NodeKernel(src, rule, BOTH, NATURAL)
         construction_peak = tracemalloc.get_traced_memory()[1] - start
-        kernel = ZoneKernel(src, rule, NATURAL)
+        kernel = NodeKernel(src, rule, ("zones",), NATURAL)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        geometry = kernel.at(x)
+        geometry = kernel.columns(x)
         returned, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -218,9 +240,8 @@ def test_finite_difference_mode_matches_per_cell_formulas(pulse):
     per-cell current integral; the charge term is the same formula."""
     src = source("gaussian", pulse)
     rule = build_rule(src.domain, 14)
-    kernel = JefimenkoKernel(src, rule, NATURAL)
     x = np.array([1.2, 0.3, -0.2])
-    got = kernel.fields(kernel.at(x), TIMES)
+    (got,) = NodeKernel(src, rule, ("jefimenko",), NATURAL).sample(x, TIMES)
     expected = np.array([legacy_jefimenko_field(src, x, t, rule, NATURAL, FD_STEP) for t in TIMES])
     peak = _peak(expected)
     assert np.abs(got[:, 0] - expected[:, 0]).max() <= FD_RTOL * peak
@@ -273,9 +294,6 @@ def test_thread_count_and_radius_alone_do_not_change_fields(representation):
         assert alone[0].tobytes() == reference[i].tobytes(), radius
 
 
-BOTH = ("zones", "jefimenko")
-
-
 def _joint(src, rule, radii=RADII, threads=1):
     kwargs = dict(radii=radii, times=TIMES, rule=rule, threads=threads, **RAY)
     return {r: series.fields for r, series in sample_representations(src, BOTH, **kwargs).items()}
@@ -306,17 +324,15 @@ def test_joint_sweep_matches_separate_sampling(envelope, pulse):
 @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
 @pytest.mark.parametrize("pulse", sorted(PULSES))
 def test_one_representation_sweep_is_the_kernel_composition(pulse, representation):
-    """A sweep of one representation gives, bit for bit, what
-    ``kernel.fields(kernel.at(x), times)`` gives at each radius: sampling
-    one form alone is unchanged by the shared sweep."""
+    """A sweep of one representation gives, bit for bit, what the kernel of
+    that form gives at each radius (``NodeKernel.sample``)."""
     src = source("gaussian", pulse)
     rule = build_rule(src.domain, 10)
     series = sample_waveforms(src, representation, radii=RADII, times=TIMES, rule=rule, **RAY)
-    kernel = KERNELS[representation](src, rule, NATURAL)
+    kernel = NodeKernel(src, rule, (representation,), NATURAL)
     for i, x in enumerate(_ray_points()):
-        expected = kernel.fields(kernel.at(x), TIMES)
+        (expected,) = kernel.sample(x, TIMES)
         assert series.fields[i].tobytes() == expected.tobytes()
-        assert kernel_terms([kernel], x, TIMES)[0].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("pulse", sorted(PULSES))
@@ -356,12 +372,12 @@ def test_prefix_sums_at_support_edges(representation):
     float neighbours."""
     src = source("box", t_on=0.75, tau=2.0)
     rule = build_rule(src.domain, 10)
-    kernel = KERNELS[representation](src, rule, NATURAL)
+    kernel = NodeKernel(src, rule, (representation,), NATURAL)
     x = np.array([0.7, 0.25, -0.1])
-    delays, _ = kernel.at(x)
+    delays, _ = kernel.columns(x)
     chosen = np.argsort(delays)[[0, delays.size // 2, -1]]
     times = _edges(src.profile, delays[chosen])
-    got = kernel.fields(kernel.at(x), times)
+    (got,) = kernel.sample(x, times)
     expected = legacy_fields(representation, src, x, times, rule)
     assert np.abs(got - expected).max() <= ORACLE_RTOL * _peak(expected)
     # the nearest node's entry time and the floats before it are pre-front
@@ -414,8 +430,7 @@ def test_far_radius_late_switch_on_matches_per_cell_formulas(representation):
     rule = build_rule(src.domain, 12)
     x = 50.0 * np.array([1.0, 0.3, 0.2]) / np.linalg.norm([1.0, 0.3, 0.2])
     times = src.t_on + 50.0 + np.linspace(-1.0, 10.0, 45)
-    kernel = KERNELS[representation](src, rule, NATURAL)
-    got = kernel.fields(kernel.at(x), times)
+    (got,) = NodeKernel(src, rule, (representation,), NATURAL).sample(x, times)
     expected = legacy_fields(representation, src, x, times, rule)
     assert np.abs(got - expected).max() <= ORACLE_RTOL * _peak(expected)
 
@@ -544,8 +559,8 @@ def _delay_cases():
 
 def layout_columns(layout, rng, n):
     """Columns of F, f and f' as ``column_sums`` gets them: a (k, n) array
-    per kind, three (4, n) views of one (3, 4, n) array (``ZoneKernel``), or
-    (charge (3, n), None, current (1, n)) (``JefimenkoKernel``)."""
+    per kind, three (4, n) views of one (3, 4, n) array (the zones form), or
+    (charge (3, n), None, current (1, n)) (the Jefimenko form)."""
     if layout == "zones":
         return list(rng.standard_normal((3, 4, n)))
     if layout == "jefimenko":
@@ -676,7 +691,7 @@ def test_moment_sums_allocations_stay_within_a_few_node_arrays():
     )
     rule = build_rule(src.domain, 16)
     assert len(rule) == 8192
-    delays, columns = ZoneKernel(src, rule, NATURAL).at(np.array([0.3, 0.0, 0.0]))
+    delays, columns = NodeKernel(src, rule, ("zones",), NATURAL).columns(np.array([0.3, 0.0, 0.0]))
     times = np.linspace(0.0, 14.0, 351)
     tracemalloc.start()
     try:
@@ -704,7 +719,7 @@ def test_sine_squared_sums_allocations_stay_within_a_few_node_arrays():
     )
     rule = build_rule(src.domain, 22)
     assert len(rule) == 21296
-    delays, columns = ZoneKernel(src, rule, NATURAL).at(np.array([1.0, 0.0, 0.0]))
+    delays, columns = NodeKernel(src, rule, ("zones",), NATURAL).columns(np.array([1.0, 0.0, 0.0]))
     times = np.linspace(0.0, 8.0, 801)
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from retfield.domains import Ball
-from retfield.evaluators import ZoneKernel, _frame
+from retfield.evaluators import NodeKernel, _frame
 from retfield.geometry import (
     NATURAL,
     PhysicalConstants,
@@ -39,7 +39,7 @@ def one_node(xp):
 def retarded_time(x, xp, t, constants=NATURAL):
     """t - R/c from the engine's per-point delays."""
     src, rule = one_node(xp)
-    delays, _ = ZoneKernel(src, rule, constants).at(np.asarray(x, dtype=float))
+    delays, _ = NodeKernel(src, rule, ("zones",), constants).columns(np.asarray(x, dtype=float))
     return t - delays[0]
 
 

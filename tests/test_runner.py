@@ -242,7 +242,7 @@ class TestRunTasks:
         """The Jefimenko kernel fails, so the joint sweep does; decompose,
         which reads zones only, still gets its series and is ok."""
 
-        def failing(self, r, theta, slots):
+        def failing(self, kernel, r, theta, slots):
             raise FloatingPointError("charge columns")
 
         monkeypatch.setattr(evaluators.JefimenkoKernel, "columns", failing)
