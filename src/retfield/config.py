@@ -41,7 +41,7 @@ import numpy as np
 from .domains import Ball, Box, Domain, strictly_outside
 from .evaluators import KERNELS
 from .geometry import PhysicalConstants
-from .sources import SourceModel, make_envelope, make_profile
+from .sources import ENVELOPE_KINDS, PULSE_KINDS, SourceModel, make_envelope, make_profile
 
 TASKS = ("decompose", "compare", "frontcheck", "velocity", "scaling")
 
@@ -273,7 +273,7 @@ def _finalize(raw: dict[str, dict[str, Any]]) -> RunConfig:
         raise ConfigError("missing required section [source]")
     source = raw["source"]
     envelope_kind = str(source.get("envelope", "gaussian"))
-    if envelope_kind not in ("gaussian", "truncated-gaussian"):
+    if envelope_kind not in ENVELOPE_KINDS:
         raise _fail("source", "envelope", f"unknown envelope {envelope_kind!r}")
     if "sigma" not in source:
         raise _fail("source", "sigma", "required")
@@ -325,7 +325,7 @@ def _finalize(raw: dict[str, dict[str, Any]]) -> RunConfig:
 
     pulse = raw.get("pulse", {})
     pulse_kind = str(pulse.get("kind", "sine-squared"))
-    if pulse_kind not in ("sine-squared", "differentiated-gaussian"):
+    if pulse_kind not in PULSE_KINDS:
         raise _fail("pulse", "kind", f"unknown pulse kind {pulse_kind!r}")
     t_on = _parse_float("pulse", "t_on", pulse.get("t_on", 0.0))
     tau = _parse_float("pulse", "tau", pulse.get("tau", 1.0))
@@ -394,6 +394,8 @@ def _finalize_observation(raw, domain: Domain, polarization, c, t_on, tau) -> di
     component_axis = _parse_vec(
         "observation", "component_axis", obs.get("component_axis", polarization)
     )
+    if not any(component_axis):
+        raise _fail("observation", "component_axis", "must be nonzero")
     return {
         "ray_origin": ray_origin,
         "ray_direction": ray_direction,

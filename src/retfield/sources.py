@@ -13,14 +13,20 @@ density is a spatial factor of ``SourceModel`` times a pulse quantity:
 ``grad rho = charge_gradient_factor * F``; the field kernels weight the
 same factors by the quadrature weights.
 
+Each pulse class is the one definition of its burst: its support (the
+times it is on), ``F`` after the burst, and ``F``, ``f`` and ``f'`` where it
+is on.  Per-entry evaluation (``evaluate``) and the field engine read the
+same support, so both clip every node alike.
+
 The field engine never evaluates a pulse node by node: it hands a pulse the
 delays R/c and kernel columns of one observation point and asks for the
 node sums of ``F``, ``f`` and ``f'`` against those columns at a set of
 times (``column_sums``).  Both pulses form them in ``moment_sums``, from
 sums over the nodes sorted by delay, read only at the ends of the run of
 nodes the pulse is on at each time.  Each pulse gives its ``Expansion``:
-K basis rows of the nodes times K coefficient rows of the time.  A radius
-costs O(N log N + K k N + T K k) for N nodes, k columns and T times.
+K basis rows of the nodes times K coefficient rows of the time, the rows
+carrying every constant of the pulse.  A radius costs
+O(N log N + K k N + T K k) for N nodes, k columns and T times.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from .geometry import Vec3, as_vec3
 
 # The clipped pulse treats the Gaussian as supported on +/- this many widths.
 _GAUSS_CLIP_SIGMAS = 8.0
+
+# B(8) = exp(-8^2/2), the Gaussian at the clip, taken off F = w (B - B(8)) so
+# that F is exactly 0 at both ends of the clip.
+_GAUSS_FLOOR = math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2)
 
 # A point up to this many epsilons of |center| + cut_radius outside the cut
 # sphere counts as on it; points computed on the sphere land up to ~1.3 out.
@@ -62,7 +72,7 @@ def _marks(n_nodes: int, *ends) -> np.ndarray:
 _CRAMER = 1.0865
 
 #: Bound on the Hermite terms ``moment_sums`` drops, relative to the sum of
-#: |c| over the nodes (times the pulse's own scale: w, 1 or 1/w).
+#: |c| over the nodes (times the pulse's own scale of F, f or f': w, 1, 1/w).
 _MOMENT_TOL = 2.0**-53
 
 
@@ -118,27 +128,21 @@ def _first_below(ordered, times, t0, unit, bounds) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Expansion:
-    """A pulse as ``moment_sums`` sums it over nodes sorted by delay.
+    """A pulse where it is on, as ``moment_sums`` sums it over nodes sorted
+    by delay.
 
-    With u = ((t - d) - t0)/unit for a node of delay d, the pulse is on where
-    lo < u < hi, ``support = (t0, unit, lo, hi)``.  There each of F, f and f'
-    is ``scales[kind]`` times the sum over k < ``count`` of ``moment_scale[k]``
-    times basis row k of the node (``basis(nodes, out)`` writes the rows of a
-    slice of the sorted nodes) times coefficient row k of the (time, slab)
-    pair (``coefficients(s, slab)`` gives them per kind, at s = t - t0 -
-    smallest delay), less ``floor`` for F.  Slabs begin at ``starts``.  After
-    the pulse (u >= hi) F is ``after`` and f = f' = 0; before it all are 0.
+    There each of F, f and f' is the sum over k < ``count`` of basis row k
+    of the node (``basis(nodes, out)`` writes the rows of a slice of the
+    sorted nodes) times coefficient row k of the (time, slab) pair
+    (``coefficients(s, slab)`` gives them per kind, at s = t - t0 - smallest
+    delay, with t0 the pulse's ``support[0]``).  Slabs begin at ``starts``.
+    Where the pulse is on, and what F is past it, the pulse itself says.
     """
 
-    support: tuple[float, float, float, float]
     starts: np.ndarray
     count: int
     basis: Callable
     coefficients: Callable
-    moment_scale: Union[float, np.ndarray] = 1.0
-    scales: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    floor: float = 0.0
-    after: float = 0.0
 
 
 def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.ndarray):
@@ -150,14 +154,15 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
     in each place.
 
     At one time the nodes the pulse is over for are a prefix [0, a) of the
-    sorted nodes and those it is on are the run [a, b), both found with the
-    pulse's own rounding of u, so the clip is exact per node.  The moments,
-    sums of c times each basis row over a slab's part of the run, are
-    differences of prefix sums read at the marks: a, b, the slab starts and
-    the block ends.  Each (time, slab) pair contracts them with its
-    coefficient rows; F adds ``after`` times the sum of c over [0, a).  No
-    pulse value is taken per node and time, and a time whose run is empty
-    gets exact +0.0 sums of f and f', and of F until the pulse reaches a node.
+    sorted nodes and those it is on are the run [a, b).  Both are found from
+    the pulse's ``support`` with the rounding of u that ``evaluate`` uses,
+    so the clip is exact per node.  The moments, sums of c times each basis
+    row over a slab's part of the run, are differences of prefix sums read
+    at the marks: a, b, the slab starts and the block ends.  Each (time,
+    slab) pair contracts them with its coefficient rows; F adds the pulse's
+    ``after`` times the sum of c over [0, a).  No pulse value is taken per
+    node and time, and a time whose run is empty gets exact +0.0 sums of f
+    and f', and of F until the pulse reaches a node.
 
     The sorted nodes are taken a block of ``_MOMENT_BLOCK`` at a time: the
     block's part of every column is gathered into one (columns, block) array
@@ -173,13 +178,13 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
     ordered = delays[order]
     n = ordered.size
     expansion = pulse.expansion(ordered - ordered[0])
-    t0, unit, lo_u, hi_u = expansion.support
+    t0, unit, lo_u, hi_u = pulse.support
     starts, count = expansion.starts, expansion.count
     # u <= lo is u < the float after lo
     a, b = _first_below(ordered, times, t0, unit, np.array([[hi_u], [np.nextafter(lo_u, np.inf)]]))
     run = np.flatnonzero(a < b)
     sums = [None if cols is None else np.zeros((times.size, len(cols))) for cols in columns]
-    past = a if expansion.after else a[:0]  # F reads the sums over [0, a)
+    past = a if pulse.after else a[:0]  # F reads the sums over [0, a)
     if not (run.size or past.any()):
         return sums
     kinds = [kind for kind, cols in enumerate(columns) if cols is not None]
@@ -221,7 +226,6 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
         for i, (start, stop) in enumerate(zip(cuts[:-1], cuts[1:]), m0 + 1):
             np.matmul(block[:, start:stop], ladder[:, start:stop].T, out=prefix[i])
     np.cumsum(prefix, axis=0, out=prefix)
-    prefix *= expansion.moment_scale
 
     # a chunk of pairs at a time, so that no (pairs, columns, K) temporary
     # grows with the time count
@@ -234,19 +238,25 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
             moments -= prefix[lo[pairs], r0:r1]
             series = coefficients[kind][:, pairs].T[:, :, None]
             np.matmul(moments, series, out=contracted[pairs, :, None])
-            if kind == 0 and expansion.floor:
-                contracted[pairs] -= expansion.floor * moments[..., 0]
         if group.size < pair_time.size:  # a run meets more than one slab
             contracted = np.add.reduceat(contracted, group)
-        sums[kind][run] = expansion.scales[kind] * contracted
-        if kind == 0 and expansion.after:
-            sums[kind] += expansion.after * prefix[np.searchsorted(marks, a), r0:r1, 0]
+        sums[kind][run] = contracted
+        if kind == 0 and pulse.after:
+            sums[kind] += pulse.after * prefix[np.searchsorted(marks, a), r0:r1, 0]
     return sums
 
 
 @dataclass(frozen=True)
 class _Pulse:
-    """A burst switched on at ``t_on`` for ``tau``, summed by ``moment_sums``."""
+    """A burst switched on at ``t_on`` for ``tau``, summed by ``moment_sums``.
+
+    Each pulse states its ``support``, ``(t0, unit, lo, hi)``: it is on where
+    lo < u = (t - t0)/unit < hi.  It states F past the burst (u >= hi),
+    ``after``, and F, f and f' where it is on: per entry (``_inside(u)``)
+    and as rows for ``moment_sums`` (``expansion``).  Everywhere else F, f
+    and f' are +0.0.  ``evaluate`` and ``moment_sums`` read the same
+    support and after-value, so both clip every node alike.
+    """
 
     t_on: float
     tau: float
@@ -254,6 +264,26 @@ class _Pulse:
     def __post_init__(self):
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError(f"pulse duration must be positive, got {self.tau}")
+
+    def evaluate(self, t):
+        """Primitive F, value f and derivative f' at ``t``, as arrays; the
+        formulas are taken only where the pulse is on."""
+        t0, unit, lo, hi = self.support
+        u = (np.asarray(t, dtype=float) - t0) / unit
+        on = (u > lo) & (u < hi)
+        primitive = np.where(u >= hi, self.after, 0.0)
+        value, rate = np.zeros(u.shape), np.zeros(u.shape)
+        primitive[on], value[on], rate[on] = self._inside(u[on])
+        return primitive, value, rate
+
+    def value(self, t):
+        return _scalarize(self.evaluate(t)[1])
+
+    def derivative(self, t):
+        return _scalarize(self.evaluate(t)[2])
+
+    def primitive(self, t):
+        return _scalarize(self.evaluate(t)[0])
 
     def column_sums(self, delays, columns, times):
         """Node sums of F, f and f' against kernel columns (``moment_sums``)."""
@@ -263,6 +293,22 @@ class _Pulse:
 @dataclass(frozen=True)
 class SineSquaredPulse(_Pulse):
     """sin^2 burst on [t_on, t_on + tau]; exactly zero outside."""
+
+    # each pulse class holds its own entries, which bench/tracer.py wraps by name
+    value, derivative, primitive = _Pulse.value, _Pulse.derivative, _Pulse.primitive
+
+    @property
+    def support(self) -> tuple[float, float, float, float]:
+        return (self.t_on, self.tau, 0.0, 1.0)
+
+    @property
+    def after(self) -> float:
+        return 0.5 * self.tau
+
+    def _inside(self, u):
+        sin_2pu = np.sin(2.0 * np.pi * u)
+        primitive = self.tau * (0.5 * u - sin_2pu / (4.0 * np.pi))
+        return primitive, np.sin(np.pi * u) ** 2, np.pi / self.tau * sin_2pu
 
     def expansion(self, offsets) -> Expansion:
         """One slab and the exact basis 1, d, cos(beta), sin(beta): with
@@ -286,39 +332,11 @@ class SineSquaredPulse(_Pulse):
             rows[2, 2], rows[2, 3] = np.pi / self.tau * sin_alpha, -np.pi / self.tau * cos_alpha
             return rows
 
-        support = (self.t_on, self.tau, 0.0, 1.0)
-        return Expansion(support, np.zeros(1, int), 4, basis, coefficients, after=0.5 * self.tau)
+        return Expansion(np.zeros(1, int), 4, basis, coefficients)
 
     def most_moments(self, delay_spread: float) -> int:
         """The basis rows ``column_sums`` keeps, at any delay spread."""
         return 4
-
-    def evaluate(self, t):
-        """Primitive F, value f and derivative f' at ``t``, as arrays.
-
-        The sines are taken only inside the support; outside it f and f'
-        are exactly +0.0 and F is 0.0 before the burst and tau/2 after.
-        """
-        u = (np.asarray(t, dtype=float) - self.t_on) / self.tau
-        inside = (u > 0.0) & (u < 1.0)
-        primitive = np.where(u >= 1.0, 0.5 * self.tau, 0.0)
-        value = np.zeros(u.shape)
-        rate = np.zeros(u.shape)
-        u_in = u[inside]
-        sin_2pu = np.sin(2.0 * np.pi * u_in)
-        primitive[inside] = self.tau * (0.5 * u_in - sin_2pu / (4.0 * np.pi))
-        value[inside] = np.sin(np.pi * u_in) ** 2
-        rate[inside] = np.pi / self.tau * sin_2pu
-        return primitive, value, rate
-
-    def value(self, t):
-        return _scalarize(self.evaluate(t)[1])
-
-    def derivative(self, t):
-        return _scalarize(self.evaluate(t)[2])
-
-    def primitive(self, t):
-        return _scalarize(self.evaluate(t)[0])
 
 
 @dataclass(frozen=True)
@@ -330,9 +348,31 @@ class DifferentiatedGaussianPulse(_Pulse):
     the support exactly compact; its net time integral is exactly zero.
     """
 
+    value, derivative, primitive = _Pulse.value, _Pulse.derivative, _Pulse.primitive
+
+    after = 0.0  # F = w (B - B(8)) is back to 0 at the clip
+
+    @property
+    def support(self) -> tuple[float, float, float, float]:
+        return (self.center, self.width, -_GAUSS_CLIP_SIGMAS, _GAUSS_CLIP_SIGMAS)
+
+    @property
+    def width(self) -> float:
+        return self.tau / (2.0 * _GAUSS_CLIP_SIGMAS)
+
+    @property
+    def center(self) -> float:
+        return self.t_on + 0.5 * self.tau
+
+    def _inside(self, u):
+        # one exponential serves all three
+        bump = np.exp(-0.5 * u * u)
+        rate = (u * u - 1.0) / self.width * bump
+        return self.width * (bump - _GAUSS_FLOOR), -u * bump, rate
+
     def expansion(self, offsets) -> Expansion:
-        """Slabs no wider than w, the powers x^k/k! of each node's offset
-        from its slab's midpoint, and the Hermite rows of each pair.
+        """Slabs no wider than w, the powers x^k of each node's offset from
+        its slab's midpoint, and the Hermite rows of each pair.
 
         With B(u) = exp(-u^2/2) and u = (t - d - center)/w, the clipped
         pulse is F = w (B - B(8)), f = B'(u) and f' = B''(u)/w where
@@ -343,7 +383,9 @@ class DifferentiatedGaussianPulse(_Pulse):
             B^(j)(u0 - x) = (-1)^j B(u0) sum_k He_{j+k}(u0) x^k / k!,
 
         whose terms Cramér's inequality bounds for |x| <= 1/2
-        (``moment_count`` picks how many to keep).
+        (``moment_count`` picks how many to keep).  So coefficient row k of
+        F, f and f' (j = 0, 1, 2) is w, -1 and 1/w times
+        B(u0) He_{j+k}(u0)/k!, and F's row 0 also takes off w B(8).
         """
         w = self.width
         # a slab is the nodes of one bin [i w, (i + 1) w) of the offsets
@@ -354,6 +396,8 @@ class DifferentiatedGaussianPulse(_Pulse):
         mids = 0.5 * (offsets[starts] + offsets[ends - 1])
         x = (offsets - mids[slab]) / w
         count = moment_count(float(np.abs(x).max()))
+        inverse_factorials = 1.0 / np.cumprod(np.maximum(np.arange(count), 1.0))
+        factors = np.multiply.outer((w, -1.0, 1.0 / w), inverse_factorials)[..., None]
 
         def powers(nodes, out):
             out[0] = 1.0
@@ -368,68 +412,19 @@ class DifferentiatedGaussianPulse(_Pulse):
             rows[1] = u0 * rows[0]
             for k in range(1, count + 1):
                 rows[k + 1] = u0 * rows[k] - k * rows[k - 1]
-            return [rows[kind : kind + count] for kind in range(3)]
+            terms = [factors[kind] * rows[kind : kind + count] for kind in range(3)]
+            terms[0][0] -= w * _GAUSS_FLOOR
+            return terms
 
-        support = (self.center, w, -_GAUSS_CLIP_SIGMAS, _GAUSS_CLIP_SIGMAS)
-        inverse_factorials = 1.0 / np.cumprod(np.maximum(np.arange(count), 1.0))
-        scales, floor = (w, -1.0, 1.0 / w), math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2)
-        return Expansion(support, starts, count, powers, hermite, inverse_factorials, scales, floor)
+        return Expansion(starts, count, powers, hermite)
 
     def most_moments(self, delay_spread: float) -> int:
         """The most delay moments ``column_sums`` keeps for delays that span
         at most ``delay_spread``: no slab is wider than that or a width."""
         return moment_count(min(0.5, 0.5 * delay_spread / self.width))
 
-    @property
-    def width(self) -> float:
-        return self.tau / (2.0 * _GAUSS_CLIP_SIGMAS)
-
-    @property
-    def center(self) -> float:
-        return self.t_on + 0.5 * self.tau
-
-    def evaluate(self, t):
-        """Primitive F, value f and derivative f' at ``t``, as arrays.
-
-        One exponential serves all three, taken only inside the clipped
-        support; every entry outside it is exactly +0.0.
-        """
-        u = (np.asarray(t, dtype=float) - self.center) / self.width
-        inside = np.abs(u) < _GAUSS_CLIP_SIGMAS
-        primitive, value, rate = np.zeros(u.shape), np.zeros(u.shape), np.zeros(u.shape)
-        u_in = u[inside]
-        bump = np.exp(-0.5 * u_in * u_in)
-        primitive[inside] = self.width * (bump - math.exp(-0.5 * _GAUSS_CLIP_SIGMAS**2))
-        value[inside] = -u_in * bump
-        rate[inside] = (u_in * u_in - 1.0) / self.width * bump
-        return primitive, value, rate
-
-    def value(self, t):
-        return _scalarize(self.evaluate(t)[1])
-
-    def derivative(self, t):
-        return _scalarize(self.evaluate(t)[2])
-
-    def primitive(self, t):
-        return _scalarize(self.evaluate(t)[0])
-
 
 TimeProfile = Union[SineSquaredPulse, DifferentiatedGaussianPulse]
-
-_PROFILE_KINDS = {
-    "sine-squared": SineSquaredPulse,
-    "differentiated-gaussian": DifferentiatedGaussianPulse,
-}
-
-
-def make_profile(kind: str, t_on: float, tau: float) -> TimeProfile:
-    try:
-        cls = _PROFILE_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown pulse kind {kind!r}; expected one of {sorted(_PROFILE_KINDS)}"
-        ) from None
-    return cls(t_on=t_on, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -469,7 +464,7 @@ class GaussianEnvelope:
 
 
 @dataclass(frozen=True)
-class TruncatedGaussianEnvelope:
+class TruncatedGaussianEnvelope(GaussianEnvelope):
     """Gaussian chopped to zero outside |x - center| <= cut_radius.
 
     No smoothing at the cut: this envelope intentionally leaves a finite
@@ -479,19 +474,12 @@ class TruncatedGaussianEnvelope:
     itself.
     """
 
-    center: Vec3
-    sigma: float
     cut_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise ValueError(f"envelope width must be positive, got {self.sigma}")
+        super().__post_init__()
         if not (self.cut_radius > 0.0 and np.isfinite(self.cut_radius)):
             raise ValueError(f"cut radius must be positive, got {self.cut_radius}")
-
-    def _smooth(self) -> GaussianEnvelope:
-        return GaussianEnvelope(self.center, self.sigma)
 
     def _mask(self, points):
         """Inside or on the cut sphere, up to rounding in the coordinates."""
@@ -501,18 +489,18 @@ class TruncatedGaussianEnvelope:
         return np.sum(d * d, axis=-1) <= reach**2
 
     def value(self, points):
-        v = np.asarray(self._smooth().value(points))
+        v = np.asarray(super().value(points))
         return _scalarize(np.where(self._mask(points), v, 0.0))
 
     def gradient(self, points):
         outside = ~self._mask(points)
-        g = self._smooth().gradient(points)
+        g = super().gradient(points)
         g[outside] = 0.0
         return g
 
     def hessian(self, points):
         outside = ~self._mask(points)
-        h = self._smooth().hessian(points)
+        h = super().hessian(points)
         h[outside] = 0.0
         return h
 
@@ -524,21 +512,34 @@ class TruncatedGaussianEnvelope:
         return 4.0 * np.pi * radial
 
 
-SpatialEnvelope = Union[GaussianEnvelope, TruncatedGaussianEnvelope]
+#: Each pulse and envelope class by its config name.
+PULSE_KINDS = {
+    "sine-squared": SineSquaredPulse,
+    "differentiated-gaussian": DifferentiatedGaussianPulse,
+}
+ENVELOPE_KINDS = {"gaussian": GaussianEnvelope, "truncated-gaussian": TruncatedGaussianEnvelope}
+
+
+def _class_of(table: dict, kind: str, what: str):
+    try:
+        return table[kind]
+    except KeyError:
+        raise ValueError(f"unknown {what} kind {kind!r}; expected one of {sorted(table)}") from None
+
+
+def make_profile(kind: str, t_on: float, tau: float) -> TimeProfile:
+    return _class_of(PULSE_KINDS, kind, "pulse")(t_on=t_on, tau=tau)
 
 
 def make_envelope(
     kind: str, center, sigma: float, cut_radius: float | None = None
-) -> SpatialEnvelope:
-    if kind == "gaussian":
-        return GaussianEnvelope(center=center, sigma=sigma)
-    if kind == "truncated-gaussian":
-        if cut_radius is None:
-            raise ValueError("truncated-gaussian envelope requires a cut radius")
-        return TruncatedGaussianEnvelope(center=center, sigma=sigma, cut_radius=cut_radius)
-    raise ValueError(
-        f"unknown envelope kind {kind!r}; expected 'gaussian' or 'truncated-gaussian'"
-    )
+) -> GaussianEnvelope:
+    cls = _class_of(ENVELOPE_KINDS, kind, "envelope")
+    if cls is GaussianEnvelope:
+        return cls(center=center, sigma=sigma)
+    if cut_radius is None:
+        raise ValueError(f"{kind} envelope requires a cut radius")
+    return cls(center=center, sigma=sigma, cut_radius=cut_radius)
 
 
 @dataclass(frozen=True)
@@ -549,7 +550,7 @@ class SourceModel:
     ``charge_gradient_factor`` evaluates the envelope's Hessian.
     """
 
-    envelope: SpatialEnvelope
+    envelope: GaussianEnvelope  # or its truncated subclass
     profile: TimeProfile
     polarization: Vec3
     amplitude: float

@@ -5,7 +5,13 @@ import pytest
 
 from retfield.config import ConfigError, config_from_mapping, parse_config
 from retfield.domains import Ball, Box
-from retfield.sources import GaussianEnvelope, SineSquaredPulse, TruncatedGaussianEnvelope
+from retfield.sources import (
+    ENVELOPE_KINDS,
+    PULSE_KINDS,
+    GaussianEnvelope,
+    SineSquaredPulse,
+    TruncatedGaussianEnvelope,
+)
 
 MINIMAL = """
 [source]
@@ -299,6 +305,33 @@ class TestValidation:
             mapping[section][key][index] = float(value)
         with pytest.raises(ConfigError, match=message):
             config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("axis", ["0 0 0", "-0 0 0"])
+    def test_zero_component_axis_rejected(self, axis):
+        # a zero axis projects every field to 0: decompose would report a
+        # peak component of 0.0 and velocity would find no feature
+        text = MINIMAL + f"\n[observation]\ncomponent_axis = {axis}\n"
+        message = r"^\[observation\] component_axis: must be nonzero$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        mapping = parse_config(MINIMAL).to_mapping()
+        mapping["observation"]["component_axis"] = [0.0, 0.0, 0.0]
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping(mapping)
+
+    def test_kind_names_are_the_sources_tables(self):
+        for kind, cls in PULSE_KINDS.items():
+            cfg = parse_config(MINIMAL + f"\n[pulse]\nkind = {kind}\n")
+            assert type(cfg.build_source().profile) is cls
+        for kind, cls in ENVELOPE_KINDS.items():
+            extra = "\ncut_radius = 0.1" if cls is TruncatedGaussianEnvelope else ""
+            text = MINIMAL.replace("sigma = 0.05", f"sigma = 0.05\nenvelope = {kind}{extra}")
+            assert type(parse_config(text).build_source().envelope) is cls
+        with pytest.raises(ConfigError, match=r"^\[pulse\] kind: unknown pulse kind 'square'$"):
+            parse_config(MINIMAL + "\n[pulse]\nkind = square\n")
+        message = r"^\[source\] envelope: unknown envelope 'boxcar'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL.replace("sigma = 0.05", "sigma = 0.05\nenvelope = boxcar"))
 
     def test_ray_direction_normalized(self):
         text = MINIMAL + "\n[observation]\nray_direction = 0 0 5\nradii = list 1.0\n"

@@ -761,29 +761,37 @@ def test_moment_sums_clip_each_node_as_the_pulse_does():
 
 
 def test_moment_sums_clip_each_sine_squared_node_as_the_pulse_does():
-    """The sine-squared pulse through the same clip: at the times each
-    node's u reaches 0 and 1, and at their float neighbours (non-dyadic, so
-    t - d rounds), a column that picks out one node sums to that node's F,
-    f and f' as ``SineSquaredPulse.evaluate`` gives them, and exactly where
-    the node is outside its burst: f = f' = 0, F = 0 before it and tau/2
-    after it."""
+    """Both pulses through the same clip: at the times each node enters and
+    leaves the burst (u = 0 and 1 for the sine-squared pulse, u = -8 and 8
+    widths for the derivative-of-Gaussian one), and at their float
+    neighbours (non-dyadic, so t - d rounds), a column that picks out one
+    node sums to that node's F, f and f' as ``evaluate`` gives them, and
+    exactly where the node is outside its burst: f = f' = 0, F = 0 before it
+    and after it tau/2 (sine-squared) or 0 (derivative-of-Gaussian)."""
     rng = np.random.default_rng(13)
-    pulse = SineSquaredPulse(t_on=0.3, tau=1.7)
     delays = 1.1 + rng.uniform(0.0, 0.4, 40)
     delays[::7] = delays[0]  # some tied
-    times = _edges(pulse, delays)
-    columns = np.eye(delays.size)
-    got = pulse.column_sums(delays, (columns,) * 3, times)
-    expected = pulse.evaluate(times[:, None] - delays)
-    u = ((times[:, None] - delays) - pulse.t_on) / pulse.tau
-    outside = (u <= 0.0) | (u >= 1.0)
-    assert 2 * delays.size < outside.sum() < outside.size
-    assert np.any(expected[0][outside] == 0.5 * pulse.tau) and np.any(expected[0][outside] == 0.0)
     spread = np.ptp(delays)
-    scales = (pulse.tau + spread, 1.0, np.pi / pulse.tau * (1.0 + 2.0 * np.pi * spread / pulse.tau))
-    for g, e, scale in zip(got, expected, scales):
-        assert np.abs(g - e).max() <= 8 * np.finfo(float).eps * scale
-        assert np.all(g[outside] == e[outside])
+    for pulse in (SineSquaredPulse(t_on=0.3, tau=1.7), DifferentiatedGaussianPulse(t_on=0.3, tau=1.7)):
+        times = _edges(pulse, delays)
+        lags = times[:, None] - delays
+        if isinstance(pulse, SineSquaredPulse):
+            u, lo, hi, after = (lags - pulse.t_on) / pulse.tau, 0.0, 1.0, 0.5 * pulse.tau
+            # the error scales of its extended-precision test
+            angles = 1.0 + 2.0 * np.pi * spread / pulse.tau
+            scales = (pulse.tau + spread, 1.0, np.pi / pulse.tau * angles)
+        else:
+            u, lo, hi, after = (lags - pulse.center) / pulse.width, -8.0, 8.0, 0.0
+            scales = (pulse.width, 1.0, 1.0 / pulse.width)
+        got = pulse.column_sums(delays, (np.eye(delays.size),) * 3, times)
+        expected = pulse.evaluate(lags)
+        outside = (u <= lo) | (u >= hi)
+        assert 2 * delays.size < outside.sum() < outside.size
+        assert np.any(u >= hi) and np.all(expected[0][u >= hi] == after)
+        assert np.any(u <= lo) and np.all(expected[0][u <= lo] == 0.0)
+        for g, e, scale in zip(got, expected, scales):
+            assert np.abs(g - e).max() <= 8 * np.finfo(float).eps * scale
+            assert np.all(g[outside] == e[outside])
 
 
 def test_moment_count_follows_the_largest_slab_offset(monkeypatch):
