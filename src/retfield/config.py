@@ -183,6 +183,17 @@ def _parse_vec(section, key, raw) -> tuple[float, float, float]:
     return tuple(_parse_float(section, key, p) for p in parts)
 
 
+def _parse_unit(section, key, raw) -> tuple[float, float, float]:
+    """A nonzero vector scaled to unit length; a unit one keeps its bits, so echoes re-parse."""
+    vec = _parse_vec(section, key, raw)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise _fail(section, key, "must be nonzero")
+    if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps:
+        return vec
+    return tuple(float(v / norm) for v in vec)
+
+
 def _parse_words(raw) -> list[str]:
     if isinstance(raw, (list, tuple)):
         return [str(w) for w in raw]
@@ -362,13 +373,9 @@ def _finalize_observation(raw, domain: Domain, polarization, c, t_on, tau) -> di
     ray_origin = _parse_vec(
         "observation", "ray_origin", obs.get("ray_origin", tuple(domain.center))
     )
-    ray_direction = _parse_vec(
+    ray_direction = _parse_unit(
         "observation", "ray_direction", obs.get("ray_direction", (1.0, 0.0, 0.0))
     )
-    norm = float(np.linalg.norm(ray_direction))
-    if norm == 0.0:
-        raise _fail("observation", "ray_direction", "must be nonzero")
-    ray_direction = tuple(float(v / norm) for v in ray_direction)
 
     if "radii" in obs:
         radii = _parse_radii("observation", "radii", obs["radii"])
@@ -391,11 +398,9 @@ def _finalize_observation(raw, domain: Domain, polarization, c, t_on, tau) -> di
     ):
         raise _fail("observation", "times", "must be a uniformly increasing grid")
 
-    component_axis = _parse_vec(
+    component_axis = _parse_unit(
         "observation", "component_axis", obs.get("component_axis", polarization)
     )
-    if not any(component_axis):
-        raise _fail("observation", "component_axis", "must be nonzero")
     return {
         "ray_origin": ray_origin,
         "ray_direction": ray_direction,

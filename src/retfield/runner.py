@@ -1,12 +1,13 @@
 """Task execution and artifact emission for configured runs.
 
 A run first calibrates one quadrature rule on ``refined_field``'s ladder.
-Each task takes the series it needs from a per-run memo, writes its
-artifacts, and contributes an entry to the run report.  The memo samples
-every representation the tasks read (``_TASK_READS``) in one sweep, at most
-once; a thread pool may split it by radius, and artifacts are byte-identical
-regardless of the worker count.  A physics check that fails (e.g. a front
-check on a leaky pulse) is recorded in the report but is not an execution
+A task (one ``_TASKS`` entry) takes series from a per-run memo, writes
+artifacts through ``emit`` and returns its details; the runner owns its
+report entry, so an artifact written before a failure is still listed.
+The memo samples every representation the tasks read in one sweep, at
+most once; a thread pool may split it by radius, and artifacts are
+byte-identical regardless of the worker count.  A failed physics check
+(e.g. a front check on a leaky pulse) is recorded but is not an execution
 error; only exceptions mark a task failed.
 """
 
@@ -16,6 +17,7 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -89,9 +91,6 @@ class TaskReport:
     artifacts: list[str] = field(default_factory=list)
     details: dict[str, Any] = field(default_factory=dict)
 
-    def to_mapping(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class RunReport:
@@ -110,14 +109,7 @@ class RunReport:
         return any(task.status == "error" for task in self.tasks)
 
     def to_mapping(self) -> dict[str, Any]:
-        return {
-            "tool": {"name": "retfield", "version": __version__},
-            "config": self.config,
-            "output_directory": self.output_directory,
-            "tasks": [task.to_mapping() for task in self.tasks],
-            "profile": self.profile,
-            "emission": self.emission,
-        }
+        return {"tool": {"name": "retfield", "version": __version__}, **asdict(self)}
 
 
 def emit_waveform_csv(series: WaveformSeries, path: Path | str) -> Path:
@@ -182,21 +174,18 @@ def _calibrate(src, config: RunConfig, constants):
     return rule, {"order": rule.order, "error_estimate": error, "tol": config.tol, "met": met}
 
 
-def _task_decompose(src, config, constants, sample, emit) -> TaskReport:
-    report = TaskReport(name="decompose")
+def _task_decompose(src, config, constants, sample, emit) -> dict[str, Any]:
     series = sample(config.representation)
-    emit(report, f"waveform_{config.representation}.csv", emit_waveform_csv, series)
+    emit(f"waveform_{config.representation}.csv", emit_waveform_csv, series)
     peak = float(np.abs(series.component()).max())
-    report.details = {"representation": config.representation, "peak_component": peak}
-    return report
+    return {"representation": config.representation, "peak_component": peak}
 
 
-def _task_compare(src, config, constants, sample, emit) -> TaskReport:
-    report = TaskReport(name="compare")
+def _task_compare(src, config, constants, sample, emit) -> dict[str, Any]:
     e_zone = sample("zones").total_field()
     e_jef = sample("jefimenko").total_field()
     for representation in ("zones", "jefimenko"):
-        emit(report, f"waveform_{representation}.csv", emit_waveform_csv, sample(representation))
+        emit(f"waveform_{representation}.csv", emit_waveform_csv, sample(representation))
     residuals = normalized_residual(e_zone, e_jef)
     # a cell's own magnitude is noise-sized once the pulse has passed, so
     # residual_max reads order one however well the forms agree; this one
@@ -204,7 +193,7 @@ def _task_compare(src, config, constants, sample, emit) -> TaskReport:
     gaps = np.linalg.norm(e_zone - e_jef, axis=-1)
     peaks = np.maximum(np.linalg.norm(e_zone, axis=-1), np.linalg.norm(e_jef, axis=-1))
     peaks = np.maximum(peaks.max(axis=1, keepdims=True), RESIDUAL_FLOOR)
-    report.details = {
+    return {
         "residual_max": float(residuals.max()),
         "residual_mean": float(residuals.mean()),
         "residual_max_of_peak": float((gaps / peaks).max()),
@@ -213,11 +202,9 @@ def _task_compare(src, config, constants, sample, emit) -> TaskReport:
         "points": int(residuals.size),
         "boundary_leakage": src.boundary_leakage(),
     }
-    return report
 
 
-def _task_frontcheck(src, config, constants, sample, emit) -> TaskReport:
-    report = TaskReport(name="frontcheck")
+def _task_frontcheck(src, config, constants, sample, emit) -> dict[str, Any]:
     details = {}
     for representation in ("zones", "jefimenko"):
         result = light_front_check(sample(representation), src, constants)
@@ -227,31 +214,27 @@ def _task_frontcheck(src, config, constants, sample, emit) -> TaskReport:
             "passed": result.passed,
         }
     details["passed"] = all(details[r]["passed"] for r in ("zones", "jefimenko"))
-    report.details = details
-    return report
+    return details
 
 
-def _task_velocity(src, config, constants, sample, emit) -> TaskReport:
-    report = TaskReport(name="velocity")
+def _task_velocity(src, config, constants, sample, emit) -> dict[str, Any]:
     series = sample(config.representation)
     arrivals = feature_arrival_times(series, config.feature, config.window)
     profile = local_velocity(series.radii, arrivals, config.feature)
-    emit(report, "velocity.csv", emit_velocity_csv, profile)
+    emit("velocity.csv", emit_velocity_csv, profile)
     front = light_front_check(series, src, constants)
     finite = profile.velocities[np.isfinite(profile.velocities)]
-    report.details = {
+    return {
         "feature": config.feature,
         "representation": config.representation,
         "min_velocity": float(finite.min()) if finite.size else None,
         "negative_segments": [list(seg) for seg in profile.negative_segments()],
         "front_check_passed": front.passed,
     }
-    return report
 
 
-def _task_scaling(src, config, constants, sample, emit) -> TaskReport:
+def _task_scaling(src, config, constants, sample, emit) -> dict[str, Any]:
     """Fit falloff exponents: near in the static tail, the others at the pulse."""
-    report = TaskReport(name="scaling")
     series = sample("zones")
     r_far = max(config.radii)
     passage_end = config.t_on + config.tau + (r_far + src.domain.diameter()) / constants.c
@@ -272,26 +255,22 @@ def _task_scaling(src, config, constants, sample, emit) -> TaskReport:
         for term in ("near", "intermediate", "far")
     ]
     rows = np.column_stack([series.radii, *amplitudes])
-    emit(report, "scaling.csv", lambda path: write_csv(path, "r,near,intermediate,far", rows))
-    report.details = {
+    emit("scaling.csv", lambda path: write_csv(path, "r,near,intermediate,far", rows))
+    return {
         "exponents": exponents,
         "static_window": list(static_window),
         "moving_window": list(moving_window),
     }
-    return report
 
 
-_TASK_RUNNERS = {
-    "decompose": _task_decompose,
-    "compare": _task_compare,
-    "frontcheck": _task_frontcheck,
-    "velocity": _task_velocity,
-    "scaling": _task_scaling,
+#: Task name -> (function, the representations it samples; None is the configured one).
+_TASKS = {
+    "decompose": (_task_decompose, (None,)),
+    "compare": (_task_compare, ("zones", "jefimenko")),
+    "frontcheck": (_task_frontcheck, ("zones", "jefimenko")),
+    "velocity": (_task_velocity, (None,)),
+    "scaling": (_task_scaling, ("zones",)),
 }
-
-#: The representations each task samples; None is the configured one.
-_TASK_READS = dict(decompose=(None,), velocity=(None,), scaling=("zones",),
-                   compare=("zones", "jefimenko"), frontcheck=("zones", "jefimenko"))
 
 
 def run_tasks(
@@ -322,7 +301,7 @@ def run_tasks(
     # read in one sweep; if that fails, each is sampled alone from then on,
     # so that only the tasks that read a failing one fail.
     series: dict[str, WaveformSeries] = {}
-    reads = {config.representation if r is None else r for n in config.tasks for r in _TASK_READS[n]}
+    reads = {config.representation if r is None else r for n in config.tasks for r in _TASKS[n][1]}
     joint = [r for r in KERNELS if r in reads]
     grid = (config.ray_origin, config.ray_direction, config.radii, config.times, rule, constants,
             np.asarray(config.component_axis))
@@ -352,8 +331,8 @@ def run_tasks(
             }
         return series[representation]
 
-    def emit(task_report: TaskReport, name: str, writer, *args) -> None:
-        """Write CSV artifact ``name`` as ``writer(*args, path)``, if CSVs are on, once per run."""
+    def emit(artifacts: list[str], name: str, writer, *args) -> None:
+        """Write CSV artifact ``name`` as ``writer(*args, path)`` once per run and list it, if CSVs are on."""
         if "csv" not in fmts:
             return
         if name not in report.emission:
@@ -361,13 +340,14 @@ def run_tasks(
             path = writer(*args, outdir / name)
             seconds = time.perf_counter() - start
             report.emission[name] = {"seconds": seconds, "bytes": path.stat().st_size}
-        task_report.artifacts.append(name)
+        artifacts.append(name)
 
     for name in config.tasks:
         task_report = TaskReport(name=name)
         start = time.perf_counter()
         try:
-            task_report = _TASK_RUNNERS[name](src, config, constants, sample, emit)
+            task = _TASKS[name][0]
+            task_report.details = task(src, config, constants, sample, partial(emit, task_report.artifacts))
         except Exception as exc:
             task_report.status = "error"
             task_report.details = {"error": f"{type(exc).__name__}: {exc}"}
@@ -376,6 +356,5 @@ def run_tasks(
         report.tasks.append(task_report)
 
     if "json" in fmts:
-        mapping = report.to_mapping()
-        (outdir / "report.json").write_text(json.dumps(mapping, indent=2) + "\n")
+        (outdir / "report.json").write_text(json.dumps(report.to_mapping(), indent=2) + "\n")
     return report

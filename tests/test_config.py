@@ -306,6 +306,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("vector", ["0 0 2", "1 0.3 0.2", "1 1 0"])
+    def test_direction_and_axis_scaled_to_unit_length_once(self, vector):
+        """A component axis's length would scale every projected value;
+        the echo of a scaled vector re-parses to the same bits."""
+        text = MINIMAL + f"\n[observation]\nray_direction = {vector}\ncomponent_axis = {vector}\n"
+        cfg = parse_config(text)
+        expected = np.array(vector.split(), dtype=float)
+        expected /= np.linalg.norm(expected)
+        for unit in (cfg.ray_direction, cfg.component_axis):
+            np.testing.assert_allclose(unit, expected, rtol=0, atol=1e-15)
+        assert cfg.component_axis == cfg.ray_direction
+        assert config_from_mapping(cfg.to_mapping()) == cfg
+
     @pytest.mark.parametrize("axis", ["0 0 0", "-0 0 0"])
     def test_zero_component_axis_rejected(self, axis):
         # a zero axis projects every field to 0: decompose would report a

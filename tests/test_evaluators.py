@@ -267,6 +267,32 @@ class TestDipoleOracle:
             rel = np.linalg.norm(numeric - exact) / np.linalg.norm(exact)
             assert rel < 1e-3
 
+    def test_near_and_intermediate_z_terms_vanish_at_the_magic_angle(self):
+        """E_z's near and intermediate terms carry 3cos^2(theta) - 1, which
+        is zero at theta = arccos(1/sqrt(3)); the far term does not."""
+        profile = SineSquaredPulse(t_on=5.0, tau=7.0)
+        dipole = PointDipole(
+            position=(0, 0, 0), direction=(0, 0, 1), moment_scale=1.0, profile=profile
+        )
+
+        def z_ratios(theta):
+            ratios = {"near": 0.0, "intermediate": 0.0, "far": 0.0}
+            for r in (0.3, 1.0):
+                x = r * np.array([np.sin(theta), 0.0, np.cos(theta)])
+                # retarded times inside the burst, off the zeros of F, f and f'
+                for t_ret in np.linspace(5.25, 11.75, 14):
+                    obs = ObservationPoint(x=x, t=float(t_ret + r))
+                    terms = dipole_oracle_field(dipole, obs).terms
+                    for name, term in terms.items():
+                        ratios[name] = max(ratios[name], abs(term[2]) / np.linalg.norm(term))
+            return ratios
+
+        magic = z_ratios(np.arccos(1.0 / np.sqrt(3.0)))
+        assert magic["near"] < 1e-14 and magic["intermediate"] < 1e-14
+        assert magic["far"] > 0.1
+        oblique = z_ratios(np.pi / 3)
+        assert all(ratio > 0.1 for ratio in oblique.values())
+
     def test_coincident_point_rejected(self):
         profile = SineSquaredPulse(t_on=0.0, tau=1.0)
         dipole = PointDipole(

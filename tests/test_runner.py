@@ -8,7 +8,7 @@ import pytest
 
 from retfield import evaluators, runner
 from retfield.cli import main
-from retfield.config import config_from_mapping, parse_config
+from retfield.config import TASKS, config_from_mapping, parse_config
 from retfield.evaluators import FieldDecomposition
 from retfield.quadrature import ConvergenceError, build_rule
 from retfield.runner import emit_waveform_csv, run_tasks, write_csv
@@ -213,25 +213,26 @@ class TestRunTasks:
         assert report.profile["zones"]["seconds"] == report.profile["jefimenko"]["seconds"]
 
     @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
-    @pytest.mark.parametrize("name", sorted(runner._TASK_RUNNERS))
+    @pytest.mark.parametrize("name", TASKS)
     def test_task_reads_what_its_table_entry_declares(
         self, tmp_path, monkeypatch, name, representation
     ):
-        """Run alone, each task samples exactly the representations that
-        its ``_TASK_READS`` entry declares, and the run's one sweep covers
-        exactly those."""
+        """Run alone, each task the config schema names samples exactly
+        the representations that its ``_TASKS`` entry declares, and the
+        run's one sweep covers exactly those."""
+        assert set(runner._TASKS) == set(TASKS)
         read = set()
-        task = runner._TASK_RUNNERS[name]
+        task, reads = runner._TASKS[name]
 
         def recording(src, config, constants, sample, emit):
             return task(src, config, constants, lambda r: (read.add(r), sample(r))[1], emit)
 
-        monkeypatch.setitem(runner._TASK_RUNNERS, name, recording)
+        monkeypatch.setitem(runner._TASKS, name, (recording, reads))
         text = ALL_TASKS.replace("tasks = all", f"tasks = {name}")
         config = parse_config(text.replace("= zones", f"= {representation}"))
         report = run_tasks(config, output_dir=tmp_path)
         assert [t.status for t in report.tasks] == ["ok"]
-        declared = {representation if r is None else r for r in runner._TASK_READS[name]}
+        declared = {representation if r is None else r for r in reads}
         assert read == declared
         assert set(report.profile) == declared
         for entry in report.profile.values():
@@ -411,6 +412,34 @@ tasks = scaling decompose
         statuses = {t.name: t.status for t in report.tasks}
         assert statuses == {"scaling": "error", "decompose": "ok"}
         assert report.any_errors()
+
+    def test_failed_task_lists_the_artifacts_it_wrote(self, tmp_path, monkeypatch):
+        """compare writes both waveforms before its residual step; when
+        that step raises, the task is failed and still lists them."""
+
+        def failing(a, b):
+            raise FloatingPointError("residual")
+
+        monkeypatch.setattr(runner, "normalized_residual", failing)
+        report = run_tasks(quick_config(tasks="compare"), output_dir=tmp_path)
+        (compare,) = report.tasks
+        assert compare.status == "error"
+        assert "residual" in compare.details["error"]
+        assert compare.artifacts == ["waveform_zones.csv", "waveform_jefimenko.csv"]
+        assert sorted(report.emission) == sorted(compare.artifacts)
+        for name in compare.artifacts:
+            assert (tmp_path / name).stat().st_size == report.emission[name]["bytes"]
+        mapping = json.loads((tmp_path / "report.json").read_text())
+        assert mapping["tasks"][0]["artifacts"] == compare.artifacts
+
+    def test_component_axis_length_does_not_scale_results(self, tmp_path):
+        peaks = []
+        for axis in ("0 0 1", "0 0 2"):
+            config = parse_config(QUICK.replace("[quadrature]", f"component_axis = {axis}\n[quadrature]"))
+            report = run_tasks(config, output_dir=tmp_path / axis.replace(" ", ""))
+            peaks.append(report.tasks[0].details["peak_component"])
+            assert report.config["observation"]["component_axis"] == [0.0, 0.0, 1.0]
+        assert peaks[0] == peaks[1] > 0.0
 
     def test_report_config_round_trips(self, tmp_path):
         config = quick_config(tasks="decompose")
