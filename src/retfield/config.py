@@ -184,14 +184,21 @@ def _parse_vec(section, key, raw) -> tuple[float, float, float]:
 
 
 def _parse_unit(section, key, raw) -> tuple[float, float, float]:
-    """A nonzero vector scaled to unit length; a unit one keeps its bits, so echoes re-parse."""
+    """A nonzero vector scaled to unit length; a unit one keeps its bits, so echoes re-parse.
+
+    The norm is taken at the scale 2**-e that brings the largest component
+    into [1/2, 1), which is exact: no square overflows or underflows, and
+    where none did unscaled, the result keeps the bits of dividing by the
+    unscaled norm."""
     vec = _parse_vec(section, key, raw)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    if not any(vec):
         raise _fail(section, key, "must be nonzero")
-    if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps:
+    e = np.frexp(max(abs(v) for v in vec))[1]
+    scaled = np.ldexp(vec, -e)
+    norm = float(np.linalg.norm(scaled))
+    if e <= 1 and abs(np.ldexp(norm, e) - 1.0) <= 4.0 * np.finfo(float).eps:
         return vec
-    return tuple(float(v / norm) for v in vec)
+    return tuple(float(v / norm) for v in scaled)
 
 
 def _parse_words(raw) -> list[str]:

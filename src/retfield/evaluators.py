@@ -15,7 +15,9 @@ The two agree up to boundary terms that vanish when the current dies off
 fast enough at the domain boundary; ``representation_residual`` measures
 the disagreement.  ``refined_field`` is the one order-refinement ladder: it
 climbs quadrature orders at one observation point until the field settles,
-and raises ConvergenceError when it stalls instead.
+and raises ConvergenceError when it stalls instead; it builds each rule for
+the source's envelope (``build_rule``), and reports no error below the
+field's rounding floor (``NodeKernel.rounding``).
 
 Both run on one time-batched engine.  A ``NodeKernel`` is built once per
 sampling for one or more representations; it weights the source's node
@@ -46,6 +48,11 @@ from .sources import SourceModel, TimeProfile
 #: Relative floor regularizing the residual when both fields vanish.
 RESIDUAL_FLOOR = 1e-30
 
+#: Nodes ``NodeKernel.rounding`` reads at most: a floor needs one digit, and
+#: evaluating the pulse at every node would cost a fifth of the field's own
+#: evaluation.
+ROUNDING_NODES = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class ObservationPoint:
@@ -63,12 +70,15 @@ class FieldDecomposition:
     """Electric field split into the named terms of one representation.
 
     ``total`` is defined as the sum of the terms in their stored order, so
-    identical inputs reproduce it bit for bit.
+    identical inputs reproduce it bit for bit.  ``rounding`` is the floor
+    below which summation rounding hides the quadrature error, where the
+    evaluation states it (``NodeKernel.rounding``).
     """
 
     terms: Mapping[str, np.ndarray]
     representation: str
     quadrature_error: float = float("nan")
+    rounding: float = 0.0
 
     def __post_init__(self):
         for name, term in self.terms.items():
@@ -150,7 +160,27 @@ class NodeKernel:
         """Each form's terms at ``x`` and each of ``times``, (times, terms,
         3): the forms share the node frame, and the delays' sort and pulse
         expansion of one ``column_sums`` call on their stacked columns."""
-        sums = self.src.profile.column_sums(*self.columns(x), times)
+        return self.assemble(self.src.profile.column_sums(*self.columns(x), times))
+
+    def rounding(self, delays: np.ndarray, stacked, t: float) -> float:
+        """The rounding floor of the field at time ``t`` from one point's
+        ``columns``: sqrt(nodes) * eps times, summed over the kinds (F, f,
+        f') at k_c / c^kind, the largest of a kind's column sums of
+        magnitudes, sum_i |column_i| * |pulse quantity at node i's retarded
+        time|.  Past ``ROUNDING_NODES`` nodes the sums are taken over every
+        k-th node and scaled by k."""
+        c, k_c = self.constants.c, self.constants.coulomb
+        step = -(-delays.size // ROUNDING_NODES)
+        sample = slice(None, None, step)
+        size = 0.0
+        for kind, (cols, values) in enumerate(zip(stacked, self.src.profile.evaluate(t - delays[sample]))):
+            if cols is not None:
+                size += k_c / c**kind * float((np.abs(cols[:, sample]) @ np.abs(values)).max())
+        return float(np.sqrt(delays.size) * np.finfo(float).eps * step * size)
+
+    def assemble(self, sums) -> list:
+        """Each form's terms, (times, terms, 3), from the ``column_sums`` of
+        the stacked columns."""
         out = []
         for form, span in zip(self.forms, self.spans):
             parts = [None if s is None else kind[:, s] for kind, s in zip(sums, span)]
@@ -222,9 +252,13 @@ KERNELS = {form.representation: form for form in (ZoneKernel(), JefimenkoKernel(
 
 
 def _field_at(representation: str, src, obs: ObservationPoint, rule, constants):
-    (fields,) = NodeKernel(src, rule, (representation,), constants).sample(obs.x, np.array([obs.t]))
+    kernel = NodeKernel(src, rule, (representation,), constants)
+    delays, stacked = kernel.columns(obs.x)
+    (fields,) = kernel.assemble(src.profile.column_sums(delays, stacked, np.array([obs.t])))
     return FieldDecomposition(
-        terms=dict(zip(KERNELS[representation].terms, fields[0])), representation=representation
+        terms=dict(zip(KERNELS[representation].terms, fields[0])),
+        representation=representation,
+        rounding=kernel.rounding(delays, stacked, obs.t),
     )
 
 
@@ -347,11 +381,13 @@ def refined_field(
     """Evaluate one representation on an order-refinement ladder.
 
     Climbs orders base, base+2, ... until the total changes by at most
-    ``tol`` (max norm) or the ladder tops out; the achieved change is
-    attached as the decomposition's quadrature error.  A ladder whose
-    error grows three levels in a row raises ConvergenceError.  Rules are
-    looked up in and added to ``rule_cache`` when given; a cache passed in
-    empty ends with the order the ladder stopped at as its highest key.
+    ``tol`` (max norm) or the ladder tops out; the achieved change, or the
+    last field's rounding floor where that is larger, is attached as the
+    decomposition's quadrature error.  A ladder whose change grows three
+    levels in a row raises ConvergenceError.  Each rule is built for the
+    source's envelope.  Rules are looked up in and added to ``rule_cache``
+    when given; a cache passed in empty ends with the order the ladder
+    stopped at as its highest key.
     """
     try:
         evaluate = EVALUATORS[representation]
@@ -370,7 +406,7 @@ def refined_field(
     rules = {} if rule_cache is None else rule_cache
     for order in range(base_order, max_order + 1, 2):
         if order not in rules:
-            rules[order] = build_rule(src.domain, order)
+            rules[order] = build_rule(src.domain, order, src.envelope)
         decomposition = evaluate(src, obs, rules[order], constants)
         total = decomposition.total
         if previous is not None:
@@ -388,5 +424,6 @@ def refined_field(
     return FieldDecomposition(
         terms=decomposition.terms,
         representation=decomposition.representation,
-        quadrature_error=float(err),
+        quadrature_error=max(float(err), decomposition.rounding),
+        rounding=decomposition.rounding,
     )

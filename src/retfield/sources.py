@@ -439,6 +439,11 @@ class GaussianEnvelope:
         if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
             raise ValueError(f"envelope width must be positive, got {self.sigma}")
 
+    # the distance from the centre past which the envelope is zero
+    @property
+    def reach(self) -> float:
+        return math.inf
+
     def value(self, points):
         d = np.asarray(points, dtype=float) - self.center
         r2 = np.sum(d * d, axis=-1)
@@ -481,12 +486,16 @@ class TruncatedGaussianEnvelope(GaussianEnvelope):
         if not (self.cut_radius > 0.0 and np.isfinite(self.cut_radius)):
             raise ValueError(f"cut radius must be positive, got {self.cut_radius}")
 
+    @property
+    def reach(self) -> float:
+        return self.cut_radius
+
     def _mask(self, points):
         """Inside or on the cut sphere, up to rounding in the coordinates."""
         d = np.asarray(points, dtype=float) - self.center
         scale = np.max(np.abs(self.center)) + self.cut_radius
-        reach = self.cut_radius + _CUT_SLACK_EPS * np.finfo(float).eps * scale
-        return np.sum(d * d, axis=-1) <= reach**2
+        bound = self.cut_radius + _CUT_SLACK_EPS * np.finfo(float).eps * scale
+        return np.sum(d * d, axis=-1) <= bound**2
 
     def value(self, points):
         v = np.asarray(super().value(points))

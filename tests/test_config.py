@@ -351,6 +351,20 @@ class TestValidation:
         cfg = parse_config(text)
         assert cfg.ray_direction == (0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("vector", ["1e200 0 0", "1e-200 0 0", "1e-320 0 0", "1e308 0 0"])
+    def test_huge_and_tiny_vectors_scaled_without_overflow(self, vector):
+        """Squares of 1e200 overflow and of 1e-200 underflow; the norm is
+        taken after an exact power-of-two scaling, so both give the axis."""
+        text = MINIMAL + f"\n[observation]\nray_direction = {vector}\ncomponent_axis = {vector}\n"
+        cfg = parse_config(text)
+        assert cfg.ray_direction == cfg.component_axis == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("vector", ["0.83 0.45 0.33", "3 -4 12", "1e-3 2e-3 0", "0.6 0.8 0"])
+    def test_scaling_keeps_the_bits_of_the_plain_norm(self, vector):
+        cfg = parse_config(MINIMAL + f"\n[observation]\nray_direction = {vector}\n")
+        raw = np.array(vector.split(), dtype=float)
+        assert cfg.ray_direction == tuple(float(v) for v in raw / np.linalg.norm(raw))
+
 
 class TestWarnings:
     def test_coarse_velocity_grid_warns(self):

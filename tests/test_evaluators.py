@@ -302,6 +302,29 @@ class TestDipoleOracle:
             dipole_oracle_field(dipole, ObservationPoint(x=(1, 1, 1), t=0.0))
 
 
+@pytest.mark.parametrize(
+    "sigma, radius, radii",
+    [(0.02, 0.2, (0.3, 3.0)), (0.05, 0.5, (1.0, 2.8))],
+    ids=["negative_velocity", "smooth_compare"],
+)
+def test_envelope_rule_gives_the_static_dipole_at_order_10(sigma, radius, radii):
+    """Once a sine-squared pulse has passed every node, F = tau/2 and, by the
+    shell theorem, a centred Gaussian in its ball is an exact static point
+    dipole.  The shipped configs' envelope and ball, at their first and last
+    radius: on the envelope-weighted radial rule order 10 gets both forms
+    there; Legendre at order 16 is 4.2e-8 (zones) and 1.2e-4 to 1.2e-2
+    (Jefimenko) away."""
+    source = smooth_source(sigma=sigma, domain_sigmas=radius / sigma)
+    rule = build_rule(source.domain, 10, source.envelope)
+    dipole = PointDipole.from_source(source)
+    for r in radii:
+        obs = ObservationPoint(x=(r, 0, 0), t=TAU + r + radius + 1.0)
+        exact = dipole_oracle_field(dipole, obs).total
+        peak = np.abs(exact).max()
+        assert np.abs(zone_field(source, obs, rule).total - exact).max() <= 1e-12 * peak
+        assert np.abs(jefimenko_field(source, obs, rule).total - exact).max() <= 1e-10 * peak
+
+
 class TestRefinedField:
     def test_reaches_tolerance_and_reports_error(self, src):
         obs = ObservationPoint(x=(2.0, 0, 0), t=12.0)
@@ -319,6 +342,57 @@ class TestRefinedField:
         obs = ObservationPoint(x=(2.0, 0, 0), t=12.0)
         refined_field("zones", src, obs, base_order=12, max_order=18, tol=1e-30, rule_cache=cache)
         assert sorted(cache) == [12, 14, 16, 18]
+
+    def test_builds_each_rule_for_the_envelope(self, src):
+        cache = {}
+        obs = ObservationPoint(x=(2.0, 0, 0), t=12.0)
+        refined_field("zones", src, obs, base_order=8, max_order=10, tol=1e-30, rule_cache=cache)
+        for order, rule in cache.items():
+            assert rule.weights.tobytes() == build_rule(src.domain, order, src.envelope).weights.tobytes()
+
+    @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+    def test_error_is_the_last_change_or_the_rounding_floor(self, src, representation):
+        """The reported error is the larger of the last order-to-order change
+        and the last field's rounding floor.  Jefimenko's charge columns
+        cancel: there the change is rounding noise, below the floor."""
+        cache = {}
+        obs = ObservationPoint(x=(1.5, 0, 0), t=10.0)
+        result = refined_field(
+            representation, src, obs, base_order=18, max_order=22, tol=1e-30, rule_cache=cache
+        )
+        evaluate = evaluators.EVALUATORS[representation]
+        last, previous = (evaluate(src, obs, cache[order]) for order in (22, 20))
+        change = float(np.max(np.abs(last.total - previous.total)))
+        assert result.rounding == last.rounding
+        assert result.quadrature_error == max(change, last.rounding)
+        # at least sqrt(N) eps times the field; the largest coefficient of a
+        # column sum in a field component is 4 (zones' near term)
+        eps = np.finfo(float).eps
+        assert last.rounding >= np.sqrt(len(cache[22])) * eps * np.abs(last.total).max() / 4
+        if representation == "jefimenko":
+            assert result.quadrature_error == last.rounding > change
+
+    @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+    def test_rounding_floor_from_every_node_or_a_stride(self, src, representation):
+        """Up to ROUNDING_NODES nodes the floor sums every node; past them a
+        stride of nodes estimates the same sums, here to 1e-3."""
+        obs = ObservationPoint(x=(1.5, 0.4, 0.3), t=12.0)
+        for order, rtol in ((12, 0.0), (22, 1e-3)):
+            kernel = evaluators.NodeKernel(src, build_rule(src.domain, order, src.envelope),
+                                           (representation,))
+            delays, stacked = kernel.columns(obs.x)
+            pulse = src.profile.evaluate(obs.t - delays)
+            size = sum(float((np.abs(cols) @ np.abs(values)).max())
+                       for cols, values in zip(stacked, pulse) if cols is not None)
+            exact = np.sqrt(delays.size) * np.finfo(float).eps * size  # c = k_c = 1
+            assert exact > 0.0
+            assert kernel.rounding(delays, stacked, obs.t) == pytest.approx(exact, rel=rtol, abs=0.0)
+        assert len(kernel.nodes[0]) > evaluators.ROUNDING_NODES >= 12 * 12 * 24
+
+    def test_rounding_floor_is_zero_ahead_of_the_front(self, src):
+        for evaluate in (zone_field, jefimenko_field):
+            obs = ObservationPoint(x=(3.0, 0, 0), t=1.0)
+            assert evaluate(src, obs, build_rule(src.domain, 8)).rounding == 0.0
 
     def test_rejects_bad_order_range(self, src):
         obs = ObservationPoint(x=(2, 0, 0), t=5.0)

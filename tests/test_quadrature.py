@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from legacy_fields import legacy_build_rule
 
+from retfield import quadrature
 from retfield.domains import Ball, Box
 from retfield.quadrature import build_rule
+from retfield.sources import GaussianEnvelope, TruncatedGaussianEnvelope
 
 UNIT_BOX = Box(lo=(0, 0, 0), hi=(1, 1, 1))
 SYM_BOX = Box(lo=(-1, -1, -1), hi=(1, 1, 1))
@@ -168,3 +172,91 @@ class TestRefineEstimate:
         values, changes = ladder(fn, SYM_BOX, (2, 4))
         assert changes[0] <= 1e-10
         np.testing.assert_allclose(values[-1], 0.0, atol=1e-14)
+
+
+def gaussian_moment(m: int, reach: float) -> float:
+    """The integral of x^m exp(-x^2/2) over [0, reach], from the series of
+    the lower incomplete gamma function, whose terms are all positive."""
+    s, z = 0.5 * (m + 1), 0.5 * reach * reach
+    term = total = 1.0 / s
+    k = 0
+    while term > 1e-18 * total:
+        k += 1
+        term *= z / (s + k)
+        total += term
+    return 2.0 ** (0.5 * (m - 1)) * math.exp(s * math.log(z) - z) * total
+
+
+CENTRE = (0.1, -0.2, 0.3)
+#: (ball, centred envelope, reach): negative_velocity.cfg's source, a
+#: truncated one cut at the ball's surface (truncated_boundary.cfg's, moved
+#: off the origin), and one cut inside its ball.
+CENTRED = [
+    (Ball(center=(0, 0, 0), radius=0.2), GaussianEnvelope(center=(0, 0, 0), sigma=0.02), 0.2),
+    (
+        Ball(center=CENTRE, radius=0.1),
+        TruncatedGaussianEnvelope(center=CENTRE, sigma=0.1, cut_radius=0.1),
+        0.1,
+    ),
+    (
+        Ball(center=CENTRE, radius=0.3),
+        TruncatedGaussianEnvelope(center=CENTRE, sigma=0.05, cut_radius=0.2),
+        0.2,
+    ),
+]
+CENTRED_IDS = ["gaussian", "truncated-at-surface", "truncated-inside"]
+
+
+class TestEnvelopeRule:
+    """A ball's radial factor for a Gaussian envelope centred on it: the
+    Gauss rule of r^2 exp(-r^2 / 2 sigma^2) on [0, reach], its weights
+    divided by the envelope."""
+
+    @pytest.mark.parametrize("ball, envelope, reach", CENTRED, ids=CENTRED_IDS)
+    def test_weights_positive_and_nodes_inside_the_reach(self, ball, envelope, reach):
+        for order in (1, 4, 10, 23, 40):
+            rule = build_rule(ball, order, envelope)
+            assert len(rule) == 2 * order**3
+            assert np.all(rule.weights > 0.0) and np.all(np.isfinite(rule.weights))
+            dist = np.linalg.norm(rule.nodes - ball.center, axis=1)
+            assert np.all(dist > 0.0) and np.all(dist < reach)
+
+    @pytest.mark.parametrize("ball, envelope, reach", CENTRED, ids=CENTRED_IDS)
+    def test_radial_moments_exact_to_degree_2n_minus_1(self, ball, envelope, reach):
+        """With the envelope restored, the rule integrates g * rho^k over
+        the ball exactly for k < 2n: 4 pi sigma^(3+k) I_(k+2)(reach/sigma)."""
+        sigma = envelope.sigma
+        for order in (4, 10, 16, 30):
+            rule = build_rule(ball, order, envelope)
+            weighted = rule.weights * envelope.value(rule.nodes)
+            rho = np.linalg.norm(rule.nodes - ball.center, axis=1)
+            for k in range(2 * order):
+                exact = 4.0 * np.pi * sigma ** (3 + k) * gaussian_moment(k + 2, reach / sigma)
+                assert weighted @ rho**k == pytest.approx(exact, rel=2e-13, abs=0.0)
+
+    def test_repeated_builds_give_the_same_bytes(self):
+        ball, envelope, _ = CENTRED[0]
+        first = build_rule(ball, 10, envelope)
+        quadrature._envelope_recurrence.cache_clear()
+        for rule in (build_rule(ball, 10, envelope), build_rule(ball, 10, envelope)):
+            assert rule.nodes.tobytes() == first.nodes.tobytes()
+            assert rule.weights.tobytes() == first.weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "domain, envelope",
+        [
+            (Ball(center=(0, 0, 0), radius=0.2), GaussianEnvelope(center=(0, 0, 1e-9), sigma=0.02)),
+            (
+                Ball(center=CENTRE, radius=0.1),
+                TruncatedGaussianEnvelope(center=(0, 0, 0), sigma=0.1, cut_radius=0.1),
+            ),
+            (SYM_BOX, GaussianEnvelope(center=(0, 0, 0), sigma=0.3)),
+        ],
+        ids=["off-centre", "truncated-off-centre", "box"],
+    )
+    def test_other_pairs_keep_the_legendre_rule(self, domain, envelope):
+        for order in (4, 11):
+            rule = build_rule(domain, order, envelope)
+            plain = build_rule(domain, order)
+            assert rule.nodes.tobytes() == plain.nodes.tobytes()
+            assert rule.weights.tobytes() == plain.weights.tobytes()

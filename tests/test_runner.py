@@ -47,7 +47,7 @@ CSV_HEADER = (
 
 #: Oblique polarization on an off-axis ray with the derivative-of-Gaussian
 #: pulse; CI runs the same config.  At t = 10 the pulse has passed r = 1.6,
-#: where |E| is 2.4e-21 against that radius's peak 7.4e-3.
+#: where |E| is 2.6e-21 against that radius's peak 7.4e-3.
 OBLIQUE = """
 [source]
 envelope = gaussian
@@ -278,9 +278,10 @@ class TestRunTasks:
             np.loadtxt(tmp_path / f"waveform_{name}.csv", delimiter=",", skiprows=1, usecols=(2, 3, 4))
             for name in ("zones", "jefimenko")
         )
-        # half the forms' gap, max norm: 1.0e-11, above the probe's estimate
+        # half the forms' gap, max norm: 5.7e-14 on the envelope-weighted
+        # radial rule (1.0e-11 on Legendre's), above the probe's estimate
         assert details["half_gap_max"] == 0.5 * np.abs(zones - jef).max()
-        assert 5e-12 < details["half_gap_max"] < 2e-11
+        assert 3e-14 < details["half_gap_max"] < 1.2e-13
         assert details["half_gap_max"] > details["quadrature"]["error_estimate"]
 
     def test_residual_of_peak_ignores_cells_the_pulse_has_left(self, tmp_path):

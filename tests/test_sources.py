@@ -286,6 +286,11 @@ class TestEnvelopes:
         numeric = float(np.sum(rule.weights * env.value(rule.nodes)))
         assert env.integral() == pytest.approx(numeric, rel=1e-10)
 
+    def test_reach_is_the_cut_radius_or_unbounded(self):
+        assert GaussianEnvelope(center=(0, 0, 0), sigma=0.5).reach == np.inf
+        cut = TruncatedGaussianEnvelope(center=(0.1, 0, 0), sigma=0.5, cut_radius=0.7)
+        assert cut.reach == 0.7
+
     def test_make_envelope_dispatch(self):
         assert isinstance(make_envelope("gaussian", (0, 0, 0), 1.0), GaussianEnvelope)
         assert isinstance(
