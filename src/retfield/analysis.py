@@ -12,8 +12,6 @@ and does not conflict with causality.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +135,14 @@ def sample_representations(
         for out, value in zip(fields, terms):
             out[i] = value
 
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        # list() drains the map so a worker's exception is raised here
-        list(map(run, range(radii.size)) if pool is None else pool.map(run, range(radii.size)))
+    if threads <= 1:
+        list(map(run, range(radii.size)))
+    else:  # imported here: one thread loads neither the pool's module nor logging
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            # list() drains the map so a worker's exception is raised here
+            list(pool.map(run, range(radii.size)))
     series = {}
     for form, out in zip(kernel.forms, fields):
         out.flags.writeable = False

@@ -17,20 +17,21 @@ the disagreement.  ``refined_field`` is the one order-refinement ladder: it
 climbs quadrature orders at one observation point until the field settles,
 and raises ConvergenceError when it stalls instead; it builds each rule for
 the source's envelope (``build_rule``), and reports no error below the
-field's rounding floor (``NodeKernel.rounding``).
+field's rounding floor (``NodeKernel.at``).
 
 Both run on one time-batched engine.  A ``NodeKernel`` is built once per
 sampling for one or more representations; it weights the source's node
 factors (``SourceModel.current_factor``, ``charge_gradient_factor``) by the
 rule's weights, each once.  At one observation point it writes every
-form's kernel columns from one node frame (``columns``), and assembles
-each form's terms from one call of the pulse's node sums of F, f and f'
-against them (``sample``; ``column_sums``, see ``sources``).  A form
-(``ZoneKernel``, ``JefimenkoKernel``) holds no node data: it writes its
-columns into its rows of the stack and turns its sums into terms
-(``terms_from``).  ``zone_field`` and ``jefimenko_field`` sample one form
-at a single time; ``analysis.sample_representations`` samples several
-over a grid.
+form's kernel columns from one node frame (``columns``).  Over a grid of
+times it assembles each form's terms from one call of the pulse's node
+sums of F, f and f' against them (``sample``; ``column_sums``, see
+``sources``); at one time, from the pulse evaluated once per node
+(``at``).  A form (``ZoneKernel``, ``JefimenkoKernel``) holds no node
+data: it writes its columns into its rows of the stack and turns its sums
+into terms (``terms_from``).  ``zone_field`` and ``jefimenko_field``
+evaluate one form at a single time, the rungs of ``refined_field``;
+``analysis.sample_representations`` samples several over a grid.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from .sources import SourceModel, TimeProfile
 
 #: Relative floor regularizing the residual when both fields vanish.
 RESIDUAL_FLOOR = 1e-30
-
-#: Nodes ``NodeKernel.rounding`` reads at most: a floor needs one digit, and
-#: evaluating the pulse at every node would cost a fifth of the field's own
-#: evaluation.
-ROUNDING_NODES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +68,7 @@ class FieldDecomposition:
     ``total`` is defined as the sum of the terms in their stored order, so
     identical inputs reproduce it bit for bit.  ``rounding`` is the floor
     below which summation rounding hides the quadrature error, where the
-    evaluation states it (``NodeKernel.rounding``).
+    evaluation states it (``NodeKernel.at``).
     """
 
     terms: Mapping[str, np.ndarray]
@@ -136,9 +132,10 @@ class NodeKernel:
         self.src, self.constants = src, constants
         self.forms = [KERNELS[representation] for representation in representations]
         self.nodes = rule.node_rows
-        self.weighted = _read_only(rule.weights * src.current_factor(rule.nodes))
+        # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
+        self.weighted = _read_only(rule.weights * src.current_factor(self.nodes.T))
         if "jefimenko" in representations:
-            charge_factor = src.charge_gradient_factor(rule.nodes).T
+            charge_factor = src.charge_gradient_factor(self.nodes.T).T
             self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
         ends = np.cumsum([form.widths for form in self.forms], axis=0)
         self.spans = [[slice(e - w, e) if w else None for w, e in zip(form.widths, end)]
@@ -162,21 +159,23 @@ class NodeKernel:
         expansion of one ``column_sums`` call on their stacked columns."""
         return self.assemble(self.src.profile.column_sums(*self.columns(x), times))
 
-    def rounding(self, delays: np.ndarray, stacked, t: float) -> float:
-        """The rounding floor of the field at time ``t`` from one point's
-        ``columns``: sqrt(nodes) * eps times, summed over the kinds (F, f,
-        f') at k_c / c^kind, the largest of a kind's column sums of
-        magnitudes, sum_i |column_i| * |pulse quantity at node i's retarded
-        time|.  Past ``ROUNDING_NODES`` nodes the sums are taken over every
-        k-th node and scaled by k."""
+    def at(self, x: Vec3, t: float):
+        """Each form's terms at ``x`` and the one time ``t``, (1, terms, 3),
+        and the field's rounding floor: the pulse is evaluated once per node,
+        at its retarded time, and each kind's (F, f, f') sums are its columns
+        against those values.  The floor is sqrt(nodes) * eps times, summed
+        over the kinds at k_c / c^kind, the largest of a kind's sums of
+        |column_i| * |pulse quantity at node i|.  numpy's own reductions form
+        the sums, so the BLAS threads do not change them."""
         c, k_c = self.constants.c, self.constants.coulomb
-        step = -(-delays.size // ROUNDING_NODES)
-        sample = slice(None, None, step)
-        size = 0.0
-        for kind, (cols, values) in enumerate(zip(stacked, self.src.profile.evaluate(t - delays[sample]))):
-            if cols is not None:
-                size += k_c / c**kind * float((np.abs(cols[:, sample]) @ np.abs(values)).max())
-        return float(np.sqrt(delays.size) * np.finfo(float).eps * step * size)
+        delays, stacked = self.columns(x)
+        sums, size = [], 0.0
+        for kind, (cols, values) in enumerate(zip(stacked, self.src.profile.evaluate(t - delays))):
+            sums.append(None if cols is None else np.einsum("kn,n->k", cols, values)[None])
+            if cols is not None:  # the columns are this call's own: |column| in place
+                magnitudes = np.einsum("kn,n->k", np.abs(cols, out=cols), np.abs(values))
+                size += k_c / c**kind * magnitudes.max()
+        return self.assemble(sums), float(np.sqrt(delays.size) * np.finfo(float).eps * size)
 
     def assemble(self, sums) -> list:
         """Each form's terms, (times, terms, 3), from the ``column_sums`` of
@@ -252,13 +251,11 @@ KERNELS = {form.representation: form for form in (ZoneKernel(), JefimenkoKernel(
 
 
 def _field_at(representation: str, src, obs: ObservationPoint, rule, constants):
-    kernel = NodeKernel(src, rule, (representation,), constants)
-    delays, stacked = kernel.columns(obs.x)
-    (fields,) = kernel.assemble(src.profile.column_sums(delays, stacked, np.array([obs.t])))
+    ((fields,), rounding) = NodeKernel(src, rule, (representation,), constants).at(obs.x, obs.t)
     return FieldDecomposition(
         terms=dict(zip(KERNELS[representation].terms, fields[0])),
         representation=representation,
-        rounding=kernel.rounding(delays, stacked, obs.t),
+        rounding=rounding,
     )
 
 

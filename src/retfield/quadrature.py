@@ -165,16 +165,12 @@ def build_rule(domain: Domain, order: int, envelope=None) -> QuadratureRule:
         nphi = 2 * order
         phi = 2.0 * np.pi * np.arange(nphi) / nphi
         wphi = np.full(nphi, 2.0 * np.pi / nphi)
-        rg, mg, pg = np.meshgrid(r, mu, phi, indexing="ij")
-        sin_t = np.sqrt(1.0 - mg**2)
-        nodes = domain.center + np.stack(
-            [
-                rg * sin_t * np.cos(pg),
-                rg * sin_t * np.sin(pg),
-                rg * mg,
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
+        # from the 1-D factors, multiplied in the order a (r, mu, phi) meshgrid took
+        r_sin = r[:, None, None] * np.sqrt(1.0 - mu**2)[:, None]
+        nodes = np.empty((order, order, nphi, 3))
+        nodes[..., 0], nodes[..., 1] = r_sin * np.cos(phi), r_sin * np.sin(phi)
+        nodes[..., 2] = (r[:, None] * mu)[..., None]
+        nodes = domain.center + nodes.reshape(-1, 3)
         weights = (wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]).reshape(-1)
         return QuadratureRule(nodes=nodes, weights=weights, order=order, domain=domain)
     raise TypeError(f"unsupported domain type: {type(domain).__name__}")

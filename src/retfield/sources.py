@@ -18,10 +18,11 @@ times it is on), ``F`` after the burst, and ``F``, ``f`` and ``f'`` where it
 is on.  Per-entry evaluation (``evaluate``) and the field engine read the
 same support, so both clip every node alike.
 
-The field engine never evaluates a pulse node by node: it hands a pulse the
-delays R/c and kernel columns of one observation point and asks for the
-node sums of ``F``, ``f`` and ``f'`` against those columns at a set of
-times (``column_sums``).  Both pulses form them in ``moment_sums``, from
+Over a grid of times the field engine never evaluates a pulse node by node
+(a single time evaluates it once per node): it hands a pulse the delays R/c
+and kernel columns of one observation point and asks for the node sums of
+``F``, ``f`` and ``f'`` against those columns at the times
+(``column_sums``).  Both pulses form them in ``moment_sums``, from
 sums over the nodes sorted by delay, read only at the ends of the run of
 nodes the pulse is on at each time.  Each pulse gives its ``Expansion``:
 K basis rows of the nodes times K coefficient rows of the time, the rows
@@ -454,13 +455,15 @@ class GaussianEnvelope:
         g = np.exp(-0.5 * np.sum(d * d, axis=-1) / self.sigma**2)
         return -d / self.sigma**2 * g[..., None]
 
-    def hessian(self, points):
+    def hessian(self, points, direction):
+        """H . v, the Hessian of g applied to ``direction`` v, (..., 3):
+        g (d (d . v) / sigma^4 - v / sigma^2) with d = x - center."""
         d = np.asarray(points, dtype=float) - self.center
+        v = as_vec3(direction)
         g = np.exp(-0.5 * np.sum(d * d, axis=-1) / self.sigma**2)
-        h = d[..., :, None] * d[..., None, :]
-        h /= self.sigma**4
-        np.einsum("...ii->...i", h)[...] -= 1.0 / self.sigma**2  # a view of the diagonal
-        h *= g[..., None, None]
+        h = d * (np.einsum("...i,i->...", d, v) / self.sigma**4)[..., None]
+        h -= v / self.sigma**2
+        h *= g[..., None]
         return h
 
     def integral(self) -> float:
@@ -507,9 +510,9 @@ class TruncatedGaussianEnvelope(GaussianEnvelope):
         g[outside] = 0.0
         return g
 
-    def hessian(self, points):
+    def hessian(self, points, direction):
         outside = ~self._mask(points)
-        h = super().hessian(points)
+        h = super().hessian(points, direction)
         h[outside] = 0.0
         return h
 
@@ -587,7 +590,7 @@ class SourceModel:
 
     def charge_gradient_factor(self, nodes) -> np.ndarray:
         """-A * (H . p_hat)(x'), a 3-vector per node: grad rho = this * F(t)."""
-        return -self.amplitude * (self.envelope.hessian(nodes) @ self.polarization)
+        return -self.amplitude * self.envelope.hessian(nodes, self.polarization)
 
     def charge_density(self, xp, tp):
         """Charge reconstructed from charge conservation; zero at switch-on."""

@@ -123,7 +123,7 @@ def legacy_jefimenko_field(src, x, t, rule, constants, fd_step=None):
         lo = np.sum(w * g * legacy_pulse(src.profile, t_ret - fd_step)[1] / r)
         current = -(k_c / c**2) * pol * (hi - lo) / (2.0 * fd_step)
 
-    hess = src.envelope.hessian(rule.nodes)
+    hess = legacy_hessian(src.envelope, rule.nodes)
     grad_rho = -src.amplitude * legacy_pulse(src.profile, t_ret)[0][:, None] * (hess @ pol)
     charge = -k_c * (grad_rho.T @ (w / r))
     return np.array([current, charge])

@@ -26,7 +26,7 @@ from legacy_fields import (
 from retfield import sources
 from retfield.analysis import sample_representations, sample_waveforms
 from retfield.domains import Ball, Box
-from retfield.evaluators import NodeKernel, ObservationPoint, zone_field
+from retfield.evaluators import EVALUATORS, NodeKernel, ObservationPoint, zone_field
 from retfield.geometry import NATURAL, PhysicalConstants, double_gradient_kernel, far_kernel
 from retfield.quadrature import build_rule
 from retfield.sources import (
@@ -138,9 +138,9 @@ def test_joint_kernel_evaluates_the_envelope_once(envelope, monkeypatch):
     for name in ("value", "hessian"):
         method = getattr(type(src.envelope), name)
 
-        def counted(self, points, name=name, method=method):
+        def counted(self, points, *direction, name=name, method=method):
             calls.append(name)
-            return method(self, points)
+            return method(self, points, *direction)
 
         monkeypatch.setattr(type(src.envelope), name, counted)
     sample_representations(src, BOTH, radii=RADII, times=TIMES, rule=rule, **RAY)
@@ -167,38 +167,54 @@ def _kernel_geometries(src, rule):
         yield "jefimenko", (delays, jefimenko), (frozen_delays, (charge, current))
 
 
+def _close_by_column(got, expected):
+    """Each column (row of a (k, nodes) array) within 1e-15 of its largest
+    |value|: H . p_hat is formed as d (d . p_hat) - p_hat, not as the frozen
+    3 x 3 Hessian's product with p_hat, so the charge columns move by
+    rounding."""
+    return all(
+        np.abs(column - frozen).max() <= 1e-15 * np.abs(frozen).max()
+        for column, frozen in zip(got, expected)
+    )
+
+
 @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
 def test_node_frame_keeps_frozen_bits_for_polarization_along_z(envelope):
     """With p_hat = z, theta . p_hat is exact in any summation order, so the
-    node-major frame gives the frozen bodies' delays, columns of both
-    kernels and Hessian bit for bit."""
+    node-major frame gives the frozen bodies' delays, zone columns and
+    Jefimenko current column bit for bit; H . p_hat and the charge columns
+    match the frozen Hessian's to rounding."""
     src = dataclasses.replace(source(envelope), polarization=(0.0, 0.0, 1.0))
     rule = build_rule(src.domain, 10)
-    hessian = src.envelope.hessian(rule.nodes)
-    assert hessian.tobytes() == legacy_hessian(src.envelope, rule.nodes).tobytes()
-    for _, (delays, columns), (frozen_delays, frozen_columns) in _kernel_geometries(src, rule):
+    frozen = legacy_hessian(src.envelope, rule.nodes) @ src.polarization
+    assert _close_by_column(src.envelope.hessian(rule.nodes, src.polarization).T, frozen.T)
+    for form, (delays, columns), (frozen_delays, frozen_columns) in _kernel_geometries(src, rule):
         assert delays.tobytes() == frozen_delays.tobytes()
         assert len(columns) == len(frozen_columns)
-        for got, expected in zip(columns, frozen_columns):
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        for kind, (got, expected) in enumerate(zip(columns, frozen_columns)):
+            assert got.shape == expected.shape
+            if form == "jefimenko" and kind == 0:  # the charge columns
+                assert _close_by_column(got, expected)
+            else:
+                assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
 def test_node_frame_matches_frozen_bodies_for_oblique_polarization(envelope):
     """With p_hat = (0, 0.6, 0.8), theta . p_hat is added left to right
     where the frozen body used a matrix-vector product, so each zone column
-    moves by rounding only, within 1e-15 of its largest |value|; the delays
-    and the Jefimenko columns keep their bits."""
+    moves by rounding only, within 1e-15 of its largest |value|, as do the
+    Jefimenko charge columns; the delays and the Jefimenko current column
+    keep their bits."""
     src = source(envelope)
     rule = build_rule(src.domain, 10)
     for form, (delays, columns), (frozen_delays, frozen_columns) in _kernel_geometries(src, rule):
         assert delays.tobytes() == frozen_delays.tobytes()
-        for got, expected in zip(columns, frozen_columns):
+        for kind, (got, expected) in enumerate(zip(columns, frozen_columns)):
             assert got.shape == expected.shape
-            if form == "jefimenko":
+            if form == "jefimenko" and kind == 1:  # the current column
                 assert got.tobytes() == expected.tobytes()
-            for column, frozen in zip(got, expected):
-                assert np.abs(column - frozen).max() <= 1e-15 * np.abs(frozen).max()
+            assert _close_by_column(got, expected)
 
 
 #: Node-length float arrays that ``NodeKernel.columns`` of the zones form may
@@ -670,6 +686,29 @@ def test_sine_squared_sums_match_extended_precision_direct_sums(case):
         assert np.all(g[zero] == 0.0) and not np.any(np.signbit(g[zero]))
     if times.size:
         assert 0 < ahead.sum() < none_inside.sum() < times.size
+
+
+@pytest.mark.parametrize("pulse", sorted(PULSES))
+@pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+@pytest.mark.parametrize("representation", ["zones", "jefimenko"])
+def test_rounding_floor_bounds_the_error_of_one_point(representation, envelope, pulse):
+    """A one-point field (``zone_field``, ``jefimenko_field``) is within its
+    rounding floor of the same terms assembled from the rule's node sums
+    in extended precision, at each radius and every other time (the worst
+    error measured is 0.17 of the floor; 150 of the 624 cells are ahead of
+    the front, where both are zero)."""
+    src = source(envelope, pulse)
+    rule = build_rule(src.domain, 14, src.envelope)
+    kernel = NodeKernel(src, rule, (representation,), NATURAL)
+    evaluate = EVALUATORS[representation]
+    times = TIMES[::2]
+    for x in _ray_points():
+        exact = extended_sums(src.profile, *kernel.columns(x), times)
+        (reference,) = kernel.assemble([None if e is None else e.astype(float) for e in exact])
+        for t, expected in zip(times, reference):
+            field = evaluate(src, ObservationPoint(x, t), rule, NATURAL)
+            got = np.array(list(field.terms.values()))
+            assert np.abs(got - expected).max() <= field.rounding
 
 
 #: Node-length float arrays one zones-shaped ``moment_sums`` call may hold

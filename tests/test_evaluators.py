@@ -373,21 +373,21 @@ class TestRefinedField:
             assert result.quadrature_error == last.rounding > change
 
     @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
-    def test_rounding_floor_from_every_node_or_a_stride(self, src, representation):
-        """Up to ROUNDING_NODES nodes the floor sums every node; past them a
-        stride of nodes estimates the same sums, here to 1e-3."""
+    def test_rounding_floor_sums_every_node(self, src, representation):
+        """The floor is sqrt(nodes) eps times the kinds' largest sums of
+        |column| * |pulse quantity| over every node, here at 3456 and
+        21296 nodes; those sums are formed in another order here."""
         obs = ObservationPoint(x=(1.5, 0.4, 0.3), t=12.0)
-        for order, rtol in ((12, 0.0), (22, 1e-3)):
-            kernel = evaluators.NodeKernel(src, build_rule(src.domain, order, src.envelope),
-                                           (representation,))
-            delays, stacked = kernel.columns(obs.x)
+        for order in (12, 22):
+            rule = build_rule(src.domain, order, src.envelope)
+            delays, stacked = evaluators.NodeKernel(src, rule, (representation,)).columns(obs.x)
             pulse = src.profile.evaluate(obs.t - delays)
             size = sum(float((np.abs(cols) @ np.abs(values)).max())
                        for cols, values in zip(stacked, pulse) if cols is not None)
-            exact = np.sqrt(delays.size) * np.finfo(float).eps * size  # c = k_c = 1
+            exact = np.sqrt(len(rule)) * np.finfo(float).eps * size  # c = k_c = 1
             assert exact > 0.0
-            assert kernel.rounding(delays, stacked, obs.t) == pytest.approx(exact, rel=rtol, abs=0.0)
-        assert len(kernel.nodes[0]) > evaluators.ROUNDING_NODES >= 12 * 12 * 24
+            floor = evaluators.EVALUATORS[representation](src, obs, rule).rounding
+            assert floor == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_rounding_floor_is_zero_ahead_of_the_front(self, src):
         for evaluate in (zone_field, jefimenko_field):

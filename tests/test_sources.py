@@ -221,28 +221,30 @@ class TestEnvelopes:
                     for k in range(3)
                 ]
             )
-            np.testing.assert_allclose(env.hessian(p), fd, rtol=1e-6, atol=1e-9)
+            # H . v for each axis and an oblique direction; H is symmetric
+            for v in (*np.eye(3), (0.0, 0.6, 0.8)):
+                np.testing.assert_allclose(env.hessian(p, v), fd @ v, rtol=1e-6, atol=1e-9)
 
     def test_hessian_at_center_is_isotropic(self):
         env = GaussianEnvelope(center=(0, 0, 0), sigma=0.25)
-        np.testing.assert_allclose(
-            env.hessian((0.0, 0.0, 0.0)), -np.eye(3) / 0.25**2, rtol=1e-13
-        )
+        for v in (*np.eye(3), np.array([0.0, 0.6, 0.8])):
+            np.testing.assert_allclose(env.hessian((0.0, 0.0, 0.0), v), -v / 0.25**2, rtol=1e-13)
 
     def test_truncated_vanishes_outside_cut(self):
         env = TruncatedGaussianEnvelope(center=(0, 0, 0), sigma=1.0, cut_radius=1.0)
         assert env.value((1.5, 0, 0)) == 0.0
         np.testing.assert_array_equal(env.gradient((0, 2.0, 0)), np.zeros(3))
-        np.testing.assert_array_equal(env.hessian((0, 0, -3.0)), np.zeros((3, 3)))
+        np.testing.assert_array_equal(env.hessian((0, 0, -3.0), (0.0, 0.6, 0.8)), np.zeros(3))
         # inside the cut it is the plain Gaussian
         smooth = GaussianEnvelope(center=(0, 0, 0), sigma=1.0)
         p = (0.3, 0.2, -0.4)
         assert env.value(p) == smooth.value(p)
 
     def test_truncated_derivatives_are_positive_zeros_outside_the_cut(self):
-        """Outside the cut every gradient and Hessian entry is +0.0, never
-        -0.0, and inside it is the smooth one's, bit for bit, as in the
-        frozen masked Hessian; for a point set and for single points."""
+        """Outside the cut every gradient and H . v entry is +0.0, never
+        -0.0, and inside it is the smooth one's, bit for bit; H . v is the
+        frozen masked Hessian's product with v within 1e-15 of each
+        component's largest |value|; for a point set and for single points."""
         env = TruncatedGaussianEnvelope(center=(0.1, -0.2, 0.05), sigma=0.3, cut_radius=0.45)
         smooth = GaussianEnvelope(center=env.center, sigma=env.sigma)
         rng = np.random.default_rng(44)
@@ -251,14 +253,17 @@ class TestEnvelopes:
         points = points[np.abs(distance - env.cut_radius) > 0.01]
         outside = np.linalg.norm(points - env.center, axis=1) > env.cut_radius
         assert 0 < outside.sum() < len(points)
-        assert env.hessian(points).tobytes() == legacy_hessian(env, points).tobytes()
-        for derivative in ("gradient", "hessian"):
-            got = getattr(env, derivative)(points)
+        direction = np.array([0.0, 0.6, 0.8])
+        frozen = legacy_hessian(env, points) @ direction
+        product = env.hessian(points, direction)
+        assert np.all(np.abs(product - frozen) <= 1e-15 * np.abs(frozen).max(axis=0))
+        for derivative, args in (("gradient", ()), ("hessian", (direction,))):
+            got = getattr(env, derivative)(points, *args)
             assert not np.any(got[outside]) and not np.any(np.signbit(got[outside]))
-            smooth_inside = getattr(smooth, derivative)(points[~outside])
+            smooth_inside = getattr(smooth, derivative)(points[~outside], *args)
             assert got[~outside].tobytes() == smooth_inside.tobytes()
             for p, out, expected in zip(points[:20], outside[:20], got[:20]):
-                one = getattr(env, derivative)(p)
+                one = getattr(env, derivative)(p, *args)
                 assert one.tobytes() == expected.tobytes()
                 assert np.any(one) != out
 
@@ -273,7 +278,7 @@ class TestEnvelopes:
         np.testing.assert_array_equal(env.value(on_sphere), smooth.value(on_sphere))
         outside = env.center + (1.0 + 1e-9) * (on_sphere - env.center)
         assert not np.any(env.value(outside))
-        assert not np.any(env.hessian(outside))
+        assert not np.any(env.hessian(outside, (0.0, 0.6, 0.8)))
 
     def test_truncated_integral_approaches_full(self):
         full = GaussianEnvelope(center=(0, 0, 0), sigma=0.5)
