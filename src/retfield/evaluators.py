@@ -22,14 +22,15 @@ field's rounding floor (``NodeKernel.at``).
 Both run on one time-batched engine.  A ``NodeKernel`` is built once per
 sampling for one or more representations; it weights the source's node
 factors (``SourceModel.current_factor``, ``charge_gradient_factor``) by the
-rule's weights, each once.  At one observation point it writes every
-form's kernel columns from one node frame (``columns``).  Over a grid of
-times it assembles each form's terms from one call of the pulse's node
-sums of F, f and f' against them (``sample``; ``column_sums``, see
-``sources``); at one time, from the pulse evaluated once per node
-(``at``).  A form (``ZoneKernel``, ``JefimenkoKernel``) holds no node
-data: it writes its columns into its rows of the stack and turns its sums
-into terms (``terms_from``).  ``zone_field`` and ``jefimenko_field``
+rule's weights, and sums them per ring of the rule, each once.  At one
+observation point it writes every form's kernel columns from one node frame
+(``columns``), one entry per ring where the point is on the rule's axis,
+else per node.  Over a grid of times it assembles each form's terms from
+one call of the pulse's node sums of F, f and f' against them (``sample``;
+``column_sums``, see ``sources``); at one time, from the pulse evaluated
+once per entry (``at``).  A form (``ZoneKernel``, ``JefimenkoKernel``)
+holds no node data: it writes its columns into its rows of the stack and
+turns its sums into terms (``terms_from``).  ``zone_field`` and ``jefimenko_field``
 evaluate one form at a single time, the rungs of ``refined_field``;
 ``analysis.sample_representations`` samples several over a grid.
 """
@@ -37,6 +38,7 @@ evaluate one form at a single time, the rungs of ``refined_field``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -110,6 +112,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rings(kernel: NodeKernel, size: int, magnitudes: bool = False) -> SimpleNamespace:
+    """``kernel``'s node data summed over each ring of ``size`` nodes, as a
+    form's ``columns`` reads it: each ring's first node (3, rings), W = sum
+    w*A*g, the charge factors (3, rings) or None and, for zones on rings of
+    more than one node, with e = first node - node, the ``spread`` (E1, E2)
+    = (sum w*A*g*e, sum w*A*g*e (e . p_hat)); of |data| (no spread) for ``magnitudes``."""
+    nodes, w, charge = kernel.nodes, kernel.weighted, getattr(kernel, "charge_weights", None)
+    if magnitudes:
+        w, charge = np.abs(w), None if charge is None else np.abs(charge)
+    spread = None
+    if size > 1 and not magnitudes and any(f.representation == "zones" for f in kernel.forms):
+        e = nodes[:, ::size, None] - nodes.reshape(3, -1, size)
+        e1 = (w.reshape(-1, size) * e).sum(axis=-1)
+        e *= w.reshape(-1, size) * np.einsum("i,irn->rn", kernel.src.polarization, e)
+        spread = (e1, e.sum(axis=-1))
+    fold = lambda a: a if a is None or size == 1 else a.reshape(*a.shape[:-1], -1, size).sum(-1)
+    return SimpleNamespace(src=kernel.src, nodes=np.ascontiguousarray(nodes[:, ::size]),
+                           weighted=fold(w), charge_weights=fold(charge), spread=spread)
+
+
 class NodeKernel:
     """The kernel of one or more representations (``KERNELS``) on one
     sampling: one source, rule and constants.
@@ -118,9 +140,10 @@ class NodeKernel:
     (3, nodes) node coordinates, the weighted current factor w*A*g and, only
     when the Jefimenko form is among its forms, the (3, nodes) weighted
     charge gradient factor -w*A*(H . p_hat), the gradient of the charge per
-    unit F(t).  Per kind (F, f, f') its forms' rows of columns are stacked
-    in their given order: ``spans`` holds, per form, the slice of each
-    kind's stack that is its own (None for no rows).
+    unit F(t); ``rings`` holds them summed per ring of one node or the rule's.
+    Per kind (F, f, f') its forms' rows of columns are stacked in their
+    given order: ``spans`` holds, per form, the slice of each kind's stack
+    that is its own (None for no rows).
     """
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, representations,
@@ -129,7 +152,7 @@ class NodeKernel:
             raise ValueError(
                 f"unknown representations {unknown}; expected some of {sorted(KERNELS)}"
             )
-        self.src, self.constants = src, constants
+        self.src, self.rule, self.constants = src, rule, constants
         self.forms = [KERNELS[representation] for representation in representations]
         self.nodes = rule.node_rows
         # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
@@ -137,20 +160,27 @@ class NodeKernel:
         if "jefimenko" in representations:
             charge_factor = src.charge_gradient_factor(self.nodes.T).T
             self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
+        self.rings = {size: _rings(self, size) for size in {1, rule.ring}}
         ends = np.cumsum([form.widths for form in self.forms], axis=0)
         self.spans = [[slice(e - w, e) if w else None for w, e in zip(form.widths, end)]
                       for form, end in zip(self.forms, ends)]
         self.height, self.splits = ends[-1].sum(), np.cumsum(ends[-1])[:-1]
 
-    def columns(self, x: Vec3):
-        """Delays R/c (nodes,) at ``x`` and, per kind, every form's columns
-        stacked in one (rows, nodes) array, or None for no rows."""
-        r, theta = _frame(self.src, self.nodes, x)
+    def _stack(self, rings, r, theta):
+        """``columns``' stack of ``rings`` at ``r`` and ``theta`` (overwritten)."""
         blocks = np.split(np.empty((self.height, r.size)), self.splits)
         stacked = [block if len(block) else None for block in blocks]
         for form, span in zip(self.forms, self.spans):
             slots = [None if s is None else block[s] for block, s in zip(stacked, span)]
-            form.columns(self, r, theta, slots)
+            form.columns(rings, r, theta, slots)
+        return stacked
+
+    def columns(self, x: Vec3):
+        """Delays R/c at ``x`` and, per kind, every form's columns stacked in
+        one (rows, rings) array, or None; a ring is one node off the axis."""
+        rings = self.rings[self.rule.ring_at(x)]
+        r, theta = _frame(self.src, rings.nodes, x)
+        stacked = self._stack(rings, r, theta)
         return np.divide(r, self.constants.c, out=r), stacked
 
     def sample(self, x: Vec3, times: np.ndarray) -> list:
@@ -161,21 +191,24 @@ class NodeKernel:
 
     def at(self, x: Vec3, t: float):
         """Each form's terms at ``x`` and the one time ``t``, (1, terms, 3),
-        and the field's rounding floor: the pulse is evaluated once per node,
-        at its retarded time, and each kind's (F, f, f') sums are its columns
-        against those values.  The floor is sqrt(nodes) * eps times, summed
-        over the kinds at k_c / c^kind, the largest of a kind's sums of
-        |column_i| * |pulse quantity at node i|.  numpy's own reductions form
-        the sums, so the BLAS threads do not change them."""
+        and the field's rounding floor: the pulse is evaluated once per
+        entry, at its retarded time, and each kind's (F, f, f') sums are its
+        columns against those values.  The floor is sqrt(nodes) * eps times,
+        summed over the kinds at k_c / c^kind, the largest of a kind's sums
+        over every node of |column_i| * |pulse quantity at node i|; on rings
+        (one pulse value each), of the columns of the ring sums of |data| at
+        theta = 0: zones rows theta (theta . p_hat) are at most the scalar
+        row.  numpy's reductions form the sums, unmoved by BLAS threads."""
         c, k_c = self.constants.c, self.constants.coulomb
         delays, stacked = self.columns(x)
-        sums, size = [], 0.0
-        for kind, (cols, values) in enumerate(zip(stacked, self.src.profile.evaluate(t - delays))):
-            sums.append(None if cols is None else np.einsum("kn,n->k", cols, values)[None])
-            if cols is not None:  # the columns are this call's own: |column| in place
-                magnitudes = np.einsum("kn,n->k", np.abs(cols, out=cols), np.abs(values))
-                size += k_c / c**kind * magnitudes.max()
-        return self.assemble(sums), float(np.sqrt(delays.size) * np.finfo(float).eps * size)
+        pulse = self.src.profile.evaluate(t - delays)
+        sums = [None if cols is None else np.einsum("kn,n->k", cols, values)[None]
+                for cols, values in zip(stacked, pulse)]
+        if (ring := len(self.rule) // delays.size) > 1:
+            stacked = self._stack(_rings(self, ring, magnitudes=True), delays * c, np.zeros((3, delays.size)))
+        size = sum(k_c / c**kind * np.einsum("kn,n->k", np.abs(b, out=b), np.abs(v)).max()
+                   for kind, (b, v) in enumerate(zip(stacked, pulse)) if b is not None)
+        return self.assemble(sums), float(np.sqrt(len(self.rule)) * np.finfo(float).eps * size)
 
     def assemble(self, sums) -> list:
         """Each form's terms, (times, terms, 3), from the ``column_sums`` of
@@ -194,19 +227,26 @@ class ZoneKernel:
     terms = ("near", "intermediate", "far")
     widths = (4, 4, 4)
 
-    def columns(self, kernel: NodeKernel, r, theta, slots):
-        """For p = 3, 2, 1, the (4, nodes) columns [wAg/R^p, theta (theta .
-        p_hat) wAg/R^p], written into ``slots``, which hold theta . p_hat
-        in rows not yet written; ``theta`` is overwritten."""
-        pol = kernel.src.polarization
+    def columns(self, rings, r, theta, slots):
+        """For p = 3, 2, 1, the (4, rings) columns [sum wAg/R^p, sum theta_i
+        (theta_i . p_hat) wAg/R^p] over each ring's nodes i, into ``slots``,
+        which hold theta . p_hat in rows not yet written; ``r`` and ``theta``
+        (overwritten) are the first node's.  As R theta_i = R theta + e_i, the
+        sum is [theta (theta . p_hat) W + (theta E1 + E1 theta) . p_hat/R + E2/R^2]/R^p."""
+        pol = rings.src.polarization
         dot = np.multiply(theta[0], pol[0], out=slots[0][0])
         for row, component in zip(theta[1:], pol[1:]):
             dot += np.multiply(row, component, out=slots[0][1])
+        if rings.spread is not None:
+            e1, e2 = rings.spread
+            spread = (theta * (pol @ e1) + e1 * dot + e2 / r) / r
         theta *= dot
         for columns, p in zip(slots, (3, 2, 1)):
             scalar = columns[0]
-            np.divide(kernel.weighted, np.power(r, p, out=scalar), out=scalar)
+            np.divide(rings.weighted, np.power(r, p, out=scalar), out=scalar)
             np.multiply(theta, scalar, out=columns[1:])
+            if rings.spread is not None:
+                columns[1:] += spread / np.power(r, p)
 
     def terms_from(self, kernel: NodeKernel, sums) -> np.ndarray:
         c, k_c, pol = kernel.constants.c, kernel.constants.coulomb, kernel.src.polarization
@@ -230,12 +270,12 @@ class JefimenkoKernel:
     terms = ("current", "charge")
     widths = (3, 0, 1)
 
-    def columns(self, kernel: NodeKernel, r, theta, slots):
-        """The (1, nodes) column wAg/R and the (3, nodes) columns
-        -wA(H . p_hat)/R, written into ``slots``; ``theta`` is not read."""
+    def columns(self, rings, r, theta, slots):
+        """The (1, rings) column sum wAg/R and the (3, rings) columns sum
+        -wA(H . p_hat)/R per ring, written into ``slots``; ``theta`` unread."""
         charge, _, current = slots
-        np.divide(kernel.weighted, r, out=current[0])
-        np.divide(kernel.charge_weights, r, out=charge)
+        np.divide(rings.weighted, r, out=current[0])
+        np.divide(rings.charge_weights, r, out=charge)
 
     def terms_from(self, kernel: NodeKernel, sums) -> np.ndarray:
         c, k_c = kernel.constants.c, kernel.constants.coulomb
@@ -382,9 +422,10 @@ def refined_field(
     last field's rounding floor where that is larger, is attached as the
     decomposition's quadrature error.  A ladder whose change grows three
     levels in a row raises ConvergenceError.  Each rule is built for the
-    source's envelope.  Rules are looked up in and added to ``rule_cache``
-    when given; a cache passed in empty ends with the order the ladder
-    stopped at as its highest key.
+    source's envelope and about the axis from the domain's centre to the
+    point.  Rules are looked up in and added to ``rule_cache`` when given;
+    a cache passed in empty ends with the order the ladder stopped at as
+    its highest key.
     """
     try:
         evaluate = EVALUATORS[representation]
@@ -403,7 +444,7 @@ def refined_field(
     rules = {} if rule_cache is None else rule_cache
     for order in range(base_order, max_order + 1, 2):
         if order not in rules:
-            rules[order] = build_rule(src.domain, order, src.envelope)
+            rules[order] = build_rule(src.domain, order, src.envelope, obs.x - src.domain.center)
         decomposition = evaluate(src, obs, rules[order], constants)
         total = decomposition.total
         if previous is not None:

@@ -1,8 +1,10 @@
 """Fixed-order Gauss rules over the source domain.
 
 Boxes get a tensor product of per-axis Gauss-Legendre rules.  Balls get a
-spherical product rule: a radial rule, Gauss-Legendre in cos(theta) (which
-absorbs the sin(theta) Jacobian exactly), and a uniform azimuthal grid.
+spherical product rule about a polar axis: a radial rule, Gauss-Legendre in
+cos(theta) (which absorbs the sin(theta) Jacobian exactly), and a uniform
+azimuthal grid, run fastest, so each run of ``ring`` = 2*order nodes is a
+ring equally far from any point on the axis line (``QuadratureRule.ring_at``).
 The radial rule is Gauss-Legendre, except on a ball whose (truncated)
 Gaussian envelope is centred on it: there it is the Gauss rule of the
 weight r^2 exp(-r^2 / 2 sigma^2) on [0, reach], its weights divided by the
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Ball, Box, Domain
+from .geometry import Vec3, as_vec3
 from .sources import GaussianEnvelope
 
 
@@ -34,9 +37,19 @@ class QuadratureRule:
     weights: np.ndarray
     order: int
     domain: Domain
+    axis: Vec3 | None = None  # a ball's unit polar axis
+    ring: int = 1  # nodes per ring about it
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+    def ring_at(self, x) -> int:
+        """Nodes per ring equally far from ``x``: ``ring`` on the axis line (to
+        8 eps of |x - centre| + |centre|; points computed on it land within 5), else 1."""
+        d = as_vec3(x) - self.domain.center
+        off_axis = 0.0 if self.ring == 1 else np.linalg.norm(d - (d @ self.axis) * self.axis)
+        slack = 8.0 * np.finfo(float).eps * (np.linalg.norm(d) + np.linalg.norm(self.domain.center))
+        return self.ring if off_axis <= slack else 1
 
     @functools.cached_property
     def node_rows(self) -> np.ndarray:
@@ -134,13 +147,14 @@ def _envelope_radial(reach: float, sigma: float, order: int):
     return sigma * x, sigma**3 * np.exp(0.5 * x * x) * w
 
 
-def build_rule(domain: Domain, order: int, envelope=None) -> QuadratureRule:
+def build_rule(domain: Domain, order: int, envelope=None, axis=None) -> QuadratureRule:
     """Tensor rule with ``order`` points per axis (2*order azimuthal on balls).
 
     With ``envelope``, the source's envelope, a ball that a (truncated)
     Gaussian envelope is centred on exactly gets the radial rule of that
     envelope, out to the nearer of its cut and the ball's surface; any other
-    pair gets the rule it gets without one.
+    pair gets the rule it gets without one.  A ball's polar axis is ``axis``
+    (any length; z by default, whose frame is x, y, z: the former bits).
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
@@ -167,10 +181,14 @@ def build_rule(domain: Domain, order: int, envelope=None) -> QuadratureRule:
         wphi = np.full(nphi, 2.0 * np.pi / nphi)
         # from the 1-D factors, multiplied in the order a (r, mu, phi) meshgrid took
         r_sin = r[:, None, None] * np.sqrt(1.0 - mu**2)[:, None]
-        nodes = np.empty((order, order, nphi, 3))
-        nodes[..., 0], nodes[..., 1] = r_sin * np.cos(phi), r_sin * np.sin(phi)
-        nodes[..., 2] = (r[:, None] * mu)[..., None]
+        polar = (r_sin * np.cos(phi), r_sin * np.sin(phi), (r[:, None] * mu)[..., None])
+        a = as_vec3((0.0, 0.0, 1.0) if axis is None else axis)
+        a = a / np.linalg.norm(a)
+        e1 = np.eye(3)[np.argmin(np.abs(a))] - a[np.argmin(np.abs(a))] * a
+        frame = np.array([e1 / np.linalg.norm(e1), np.cross(a, e1 / np.linalg.norm(e1)), a])
+        nodes = np.stack([polar[0] * u + polar[1] * v + polar[2] * w for u, v, w in frame.T], -1)
         nodes = domain.center + nodes.reshape(-1, 3)
         weights = (wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]).reshape(-1)
-        return QuadratureRule(nodes=nodes, weights=weights, order=order, domain=domain)
+        return QuadratureRule(nodes=nodes, weights=weights, order=order, domain=domain,
+                              axis=frame[2], ring=nphi)
     raise TypeError(f"unsupported domain type: {type(domain).__name__}")

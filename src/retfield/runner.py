@@ -99,8 +99,9 @@ class RunReport:
     tasks: list[TaskReport] = field(default_factory=list)
     #: Per sampled representation: cells, nodes, the most moments (basis
     #: rows) the pulse's sums keep at any radius, the representations its
-    #: sweep covered (``sweep``), and that sweep's seconds and
-    #: node_evals_per_s (cells * nodes / seconds), shared by all of them.
+    #: sweep covered (``sweep``) and the most entries a radius summed
+    #: (``rings``); that sweep's seconds and node_evals_per_s (cells * nodes
+    #: / seconds) are shared by all of them.
     profile: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: Per written artifact: the seconds its writer took and its bytes.
     emission: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -320,6 +321,8 @@ def run_tasks(
             return sample(representation)
         seconds = time.perf_counter() - start
         cells = len(config.radii) * len(config.times)
+        point = series[sweep[0]].point
+        rings = max(len(rule) // rule.ring_at(point(i)) for i in range(len(config.radii)))
         for r in sweep:
             report.profile[r] = {
                 "seconds": seconds,
@@ -328,6 +331,7 @@ def run_tasks(
                 "node_evals_per_s": cells * len(rule) / seconds,
                 "moments": src.profile.most_moments(src.domain.diameter() / constants.c),
                 "sweep": list(sweep),
+                "rings": rings,
             }
         return series[representation]
 

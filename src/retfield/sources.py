@@ -22,12 +22,13 @@ Over a grid of times the field engine never evaluates a pulse node by node
 (a single time evaluates it once per node): it hands a pulse the delays R/c
 and kernel columns of one observation point and asks for the node sums of
 ``F``, ``f`` and ``f'`` against those columns at the times
-(``column_sums``).  Both pulses form them in ``moment_sums``, from
-sums over the nodes sorted by delay, read only at the ends of the run of
-nodes the pulse is on at each time.  Each pulse gives its ``Expansion``:
+(``column_sums``); a node is a column entry, one ring of nodes where the
+point is on the rule's axis.  Both pulses form the sums in ``moment_sums``,
+from sums over the nodes sorted by delay, read only at the ends of the run
+of nodes the pulse is on at each time.  Each pulse gives its ``Expansion``:
 K basis rows of the nodes times K coefficient rows of the time, the rows
-carrying every constant of the pulse.  A radius costs
-O(N log N + K k N + T K k) for N nodes, k columns and T times.
+carrying every constant of the pulse.  A radius costs O(N log N + K k N +
+T K k) for N nodes (or rings), k columns and T times.
 """
 
 from __future__ import annotations

@@ -711,6 +711,69 @@ def test_rounding_floor_bounds_the_error_of_one_point(representation, envelope, 
             assert np.abs(got - expected).max() <= field.rounding
 
 
+#: A tilted polar axis, and the signed distances from the ball's centre of
+#: observation points on it, on both sides of the centre.
+AXIS = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+AXIS_OFFSETS = (0.6, 1.0, -0.7, -2.5)
+
+#: Largest shift of ring sums from the frozen per-node sums of the same rule,
+#: relative to the radius's peak |E|.  Measured 3.7e-15 (zones) and 4.8e-13
+#: (Jefimenko, whose charge columns cancel: the per-node engine is as far
+#: from the frozen bodies there, and 3.9e-14 from the ring sums).
+FOLD_RTOL = {"zones": 2e-14, "jefimenko": 2e-12}
+
+
+def axis_source(envelope, pulse):
+    """``source``, its off-centre Gaussian on a ball instead of the box."""
+    if envelope == "off-centre":
+        return dataclasses.replace(source("box", pulse), domain=Ball(center=(0, 0, 0), radius=0.3))
+    return source(envelope, pulse)
+
+
+@pytest.mark.parametrize("pulse", sorted(PULSES))
+@pytest.mark.parametrize("envelope", ["gaussian", "truncated", "off-centre"])
+@pytest.mark.parametrize("representation", BOTH)
+def test_ring_sums_match_node_sums_on_the_axis(representation, envelope, pulse):
+    """On the rule's axis, on both sides of the centre, a kernel sums each
+    ring once; ``sample`` and ``at`` match the frozen per-node sums of the
+    same rule (p_hat is oblique to the axis).  ``at`` is within its rounding
+    floor of the same rule summed node by node, and has that one's floor
+    (measured: at most 0.75 of it)."""
+    src = axis_source(envelope, pulse)
+    rule = build_rule(src.domain, 12, src.envelope, AXIS)
+    nodewise = NodeKernel(src, dataclasses.replace(rule, ring=1), (representation,), NATURAL)
+    kernel = NodeKernel(src, rule, (representation,), NATURAL)
+    for offset in AXIS_OFFSETS:
+        x = src.domain.center + offset * AXIS
+        assert kernel.columns(x)[0].size == len(rule) // (2 * 12)
+        expected = legacy_fields(representation, src, x, TIMES, rule)
+        bound = FOLD_RTOL[representation] * _peak(expected)
+        (got,) = kernel.sample(x, TIMES)
+        assert np.abs(got - expected).max() <= bound
+        for t, frozen in zip(TIMES, expected):
+            ((terms,),), rounding = kernel.at(x, t)
+            ((node_terms,),), node_rounding = nodewise.at(x, t)
+            assert np.abs(terms - frozen).max() <= bound
+            assert np.abs(terms - node_terms).max() <= rounding
+            assert rounding == pytest.approx(node_rounding, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("representation", BOTH)
+def test_point_just_off_the_axis_sums_every_node(representation):
+    """1e-9 off the axis a ring's nodes are no longer equally far from the
+    point, so the kernel sums them one by one, and matches the frozen
+    per-node sums there as well."""
+    src = axis_source("off-centre", "sine-squared")
+    rule = build_rule(src.domain, 12, src.envelope, AXIS)
+    kernel = NodeKernel(src, rule, (representation,), NATURAL)
+    across = np.cross(AXIS, (1.0, 0.0, 0.0))
+    x = 1.0 * AXIS + 1e-9 * across / np.linalg.norm(across)
+    assert kernel.columns(1.0 * AXIS)[0].size < kernel.columns(x)[0].size == len(rule)
+    expected = legacy_fields(representation, src, x, TIMES, rule)
+    (got,) = kernel.sample(x, TIMES)
+    assert np.abs(got - expected).max() <= FOLD_RTOL[representation] * _peak(expected)
+
+
 #: Node-length float arrays one zones-shaped ``moment_sums`` call may hold
 #: at its peak (13.3 measured; the one-column-at-a-time path held 10.9).
 MOMENT_ARRAYS = 16

@@ -344,11 +344,15 @@ class TestRefinedField:
         assert sorted(cache) == [12, 14, 16, 18]
 
     def test_builds_each_rule_for_the_envelope(self, src):
+        """... and about the axis from the ball's centre to the point, on
+        which its rings are summed once."""
         cache = {}
         obs = ObservationPoint(x=(2.0, 0, 0), t=12.0)
         refined_field("zones", src, obs, base_order=8, max_order=10, tol=1e-30, rule_cache=cache)
         for order, rule in cache.items():
             assert rule.weights.tobytes() == build_rule(src.domain, order, src.envelope).weights.tobytes()
+            assert rule.axis.tolist() == [1.0, 0.0, 0.0]
+            assert rule.ring_at(obs.x) == rule.ring == 2 * order
 
     @pytest.mark.parametrize("representation", ["zones", "jefimenko"])
     def test_error_is_the_last_change_or_the_rounding_floor(self, src, representation):

@@ -260,3 +260,86 @@ class TestEnvelopeRule:
             plain = build_rule(domain, order)
             assert rule.nodes.tobytes() == plain.nodes.tobytes()
             assert rule.weights.tobytes() == plain.weights.tobytes()
+
+
+TILT = (0.3, -0.5, 0.8)
+
+
+class TestRuleAxis:
+    """A ball rule's polar axis: each run of 2*order nodes is a ring about
+    the line through the centre along it."""
+
+    @pytest.mark.parametrize("envelope", [None, GaussianEnvelope(center=CENTRE, sigma=0.2)])
+    @pytest.mark.parametrize("order", [3, 8, 13])
+    def test_rings_are_equally_far_from_points_on_the_axis(self, order, envelope):
+        ball = Ball(center=CENTRE, radius=0.7)
+        rule = build_rule(ball, order, envelope, TILT)
+        plain = build_rule(ball, order, envelope)
+        axis = np.array(TILT) / np.linalg.norm(TILT)
+        assert rule.ring == plain.ring == 2 * order
+        assert np.abs(rule.axis - axis).max() <= 1e-16
+        assert rule.weights.tobytes() == plain.weights.tobytes()
+        # the z rule turned onto the axis: the same distances from the centre
+        # and heights along the axis
+        offsets, z_offsets = rule.nodes - ball.center, plain.nodes - ball.center
+        np.testing.assert_allclose(np.linalg.norm(offsets, axis=1),
+                                   np.linalg.norm(z_offsets, axis=1), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(offsets @ axis, z_offsets[:, 2], rtol=0, atol=1e-15)
+        for s in (0.9, -1.4, 3.0):
+            x = ball.center + s * axis
+            assert rule.ring_at(x) == rule.ring
+            distances = np.linalg.norm(x - rule.nodes, axis=1).reshape(-1, rule.ring)
+            assert np.ptp(distances, axis=1).max() <= 8 * np.finfo(float).eps * abs(s)
+
+    def test_ring_at_points_off_the_axis_is_one_node(self):
+        ball = Ball(center=CENTRE, radius=0.7)
+        rule = build_rule(ball, 6, axis=TILT)
+        axis = rule.axis
+        across = np.cross(axis, (1.0, 0.0, 0.0))
+        across /= np.linalg.norm(across)
+        assert rule.ring_at(ball.center + 2.0 * axis) == 12
+        assert rule.ring_at(ball.center + 2.0 * axis + 1e-9 * across) == 1
+        assert rule.ring_at(ball.center + 2.0 * across) == 1
+        assert build_rule(ball, 6).ring_at(ball.center + 2.0 * axis) == 1
+
+    @pytest.mark.parametrize("centre", [(0, 0, 0), CENTRE, (30.0, -20.0, 10.0)])
+    def test_every_point_of_a_ray_through_the_centre_is_on_the_axis(self, centre):
+        """As a run places them: ``origin + r * direction`` from the centre,
+        about the axis through the first; their rounding grows with the
+        centre's distance from the origin as well as with r."""
+        ball = Ball(center=centre, radius=0.3)
+        rng = np.random.default_rng(5)
+        for direction in rng.normal(size=(50, 3)):
+            direction /= np.linalg.norm(direction)
+            points = ball.center + np.array([0.31, 0.5, 1.7, 4.0])[:, None] * direction
+            rule = build_rule(ball, 3, axis=points[0] - ball.center)
+            assert all(rule.ring_at(x) == rule.ring for x in points)
+
+    def test_axis_of_any_length_and_z_by_default(self):
+        ball = Ball(center=CENTRE, radius=0.7)
+        plain = build_rule(ball, 7)
+        assert plain.axis.tolist() == [0.0, 0.0, 1.0]
+        for axis in ((0, 0, 2.5), TILT):
+            unit = np.array(axis) / np.linalg.norm(axis)
+            long = build_rule(ball, 7, axis=axis)
+            assert long.nodes.tobytes() == build_rule(ball, 7, axis=unit).nodes.tobytes()
+        assert build_rule(ball, 7, axis=(0, 0, 2.5)).nodes.tobytes() == plain.nodes.tobytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            build_rule(ball, 7, axis=(np.inf, 0, 0))
+
+    def test_tilted_ball_rule_integrates_polynomials(self):
+        # int over a ball of radius R of (d . a)^2 = 4 pi R^5 / 15 along any unit a
+        ball = Ball(center=CENTRE, radius=1.3)
+        rule = build_rule(ball, 4, axis=TILT)
+        for along in (rule.axis, np.array([1.0, 0.0, 0.0])):
+            value = rule.weights @ ((rule.nodes - ball.center) @ along) ** 2
+            assert value == pytest.approx(4 * np.pi * 1.3**5 / 15, rel=1e-12)
+
+    def test_box_ignores_the_axis_and_never_folds(self):
+        box = Box(lo=(-0.3, -0.1, 0.2), hi=(0.4, 0.5, 0.9))
+        rule = build_rule(box, 5, axis=TILT)
+        plain = build_rule(box, 5)
+        assert rule.nodes.tobytes() == plain.nodes.tobytes()
+        assert rule.weights.tobytes() == plain.weights.tobytes()
+        assert rule.ring == 1 and rule.axis is None
+        assert rule.ring_at(box.center + 2.0 * np.array(TILT)) == 1

@@ -184,12 +184,25 @@ class TestRunTasks:
             profile = report["profile"]
             assert sorted(profile) == ["jefimenko", "zones"]
             for entry in profile.values():
+                assert list(entry) == [
+                    "seconds", "cells", "nodes", "node_evals_per_s", "moments", "sweep", "rings"
+                ]
                 assert entry["cells"] == 3 * 9
                 assert entry["nodes"] == nodes
                 assert entry["cells"] * entry["nodes"] / entry["seconds"] == pytest.approx(
                     entry["node_evals_per_s"]
                 )
                 assert entry["moments"] == moments
+                # the ray runs through the ball's centre, along the rule's axis
+                assert entry["rings"] == nodes // (2 * order)
+
+    def test_off_axis_ray_sums_every_node(self, tmp_path):
+        """OBLIQUE's ray misses the ball's centre, so no radius lies on the
+        axis of the rule calibrated at its first radius."""
+        report = run_tasks(parse_config(OBLIQUE), output_dir=tmp_path)
+        order = report.tasks[0].details["quadrature"]["order"]
+        for entry in report.profile.values():
+            assert entry["rings"] == entry["nodes"] == 2 * order**3
 
     @pytest.mark.parametrize(
         "tasks", ["compare frontcheck", "velocity frontcheck"], ids=["compare", "velocity"]
