@@ -1,4 +1,6 @@
-"""Integration domains for the source region: axis-aligned boxes and balls."""
+"""Integration domains for the source region: axis-aligned boxes and balls.
+
+Each gives the boundary point nearest to any point, for ``boundary_leakage``."""
 
 from __future__ import annotations
 
@@ -43,34 +45,14 @@ class Box:
         gap = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
         return float(np.linalg.norm(gap))
 
-    def boundary_points(self, per_edge: int = 24) -> np.ndarray:
-        """Deterministic sample grid over all six faces."""
-        u = np.linspace(0.0, 1.0, per_edge)
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        uu, vv = uu.ravel(), vv.ravel()
-        faces = []
-        for axis in range(3):
-            others = [a for a in range(3) if a != axis]
-            for val in (self.lo[axis], self.hi[axis]):
-                pts = np.empty((uu.size, 3))
-                pts[:, axis] = val
-                pts[:, others[0]] = self.lo[others[0]] + uu * (
-                    self.hi[others[0]] - self.lo[others[0]]
-                )
-                pts[:, others[1]] = self.lo[others[1]] + vv * (
-                    self.hi[others[1]] - self.lo[others[1]]
-                )
-                faces.append(pts)
-        return np.concatenate(faces, axis=0)
-
-    def interior_points(self, per_axis: int = 16) -> np.ndarray:
-        """Deterministic interior grid (cell midpoints), center included."""
-        axes = [
-            self.lo[a] + (np.arange(per_axis) + 0.5) / per_axis * (self.hi[a] - self.lo[a])
-            for a in range(3)
-        ]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        return np.concatenate([grid, self.center[None, :]], axis=0)
+    def nearest_boundary_point(self, x) -> Vec3:
+        """The point of the box's surface nearest to x."""
+        x = as_vec3(x)
+        p = np.clip(x, self.lo, self.hi)
+        if np.all(p == x):  # inside: move the coordinate nearest a face onto it
+            k = int(np.argmin(np.concatenate([x - self.lo, self.hi - x])))
+            p[k % 3] = np.concatenate([self.lo, self.hi])[k]
+        return p
 
 
 @dataclass(frozen=True)
@@ -91,28 +73,15 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(p - self.center, axis=-1) <= self.radius
-
     def exterior_distance(self, x) -> float:
         x = as_vec3(x)
         return float(max(np.linalg.norm(x - self.center) - self.radius, 0.0))
 
-    def boundary_points(self, count: int = 2048) -> np.ndarray:
-        """Deterministic Fibonacci-lattice sample of the sphere."""
-        k = np.arange(count)
-        phi = np.pi * (3.0 - np.sqrt(5.0)) * k
-        z = 1.0 - (2.0 * k + 1.0) / count
-        rho = np.sqrt(1.0 - z * z)
-        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
-        return self.center + self.radius * pts
-
-    def interior_points(self, per_axis: int = 16) -> np.ndarray:
-        """Deterministic interior grid: bounding-box midpoints inside the ball."""
-        box = Box(self.center - self.radius, self.center + self.radius)
-        pts = box.interior_points(per_axis)
-        return pts[self.contains(pts)]
+    def nearest_boundary_point(self, x) -> Vec3:
+        """The point of the sphere nearest to x; its +z pole for the centre."""
+        d = as_vec3(x) - self.center
+        r = np.linalg.norm(d)
+        return self.center + self.radius * (d / r if r > 0.0 else np.array([0.0, 0.0, 1.0]))
 
 
 Domain = Union[Box, Ball]

@@ -601,14 +601,17 @@ class SourceModel:
         return _scalarize(np.asarray(-self.charge_factor(xp) * self.profile.value(tp)))
 
     def boundary_leakage(self) -> float:
-        """Peak |J| on the domain boundary relative to peak |J| inside.
+        """Peak |J| on the domain boundary over peak |J| in the domain, exactly.
 
-        Quantifies how badly the source violates the vanish-at-the-boundary
-        hypothesis behind the equivalence of the two field representations.
-        Defined as 0 for an identically zero source.
+        The two forms agree only where J vanishes on the boundary.  g is
+        radial and decreasing about its centre c: the boundary peak is at the
+        boundary point nearest c, the peak in the domain at c, or on the
+        boundary (ratio 1) when c is outside.  0 if J is 0 on the boundary.
         """
-        boundary = np.max(np.abs(self.current_factor(self.domain.boundary_points())))
-        interior = np.max(np.abs(self.current_factor(self.domain.interior_points())))
-        if interior == 0.0:
+        c = self.envelope.center
+        edge = abs(float(self.current_factor(self.domain.nearest_boundary_point(c))))
+        if edge == 0.0:
             return 0.0
-        return float(boundary / interior)
+        if self.domain.exterior_distance(c) > 0.0:
+            return 1.0
+        return edge / abs(float(self.current_factor(c)))

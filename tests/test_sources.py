@@ -273,7 +273,11 @@ class TestEnvelopes:
     def test_truncated_cut_sphere_counts_as_inside(self, center, radius):
         # points generated on the sphere land up to a few ulps outside it
         env = TruncatedGaussianEnvelope(center=center, sigma=0.3, cut_radius=radius)
-        on_sphere = Ball(center=center, radius=radius).boundary_points()
+        k = np.arange(2048)  # a Fibonacci lattice on the sphere
+        phi, z = np.pi * (3.0 - np.sqrt(5.0)) * k, 1.0 - (2.0 * k + 1.0) / 2048
+        rho = np.sqrt(1.0 - z * z)
+        lattice = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+        on_sphere = np.asarray(center, dtype=float) + radius * lattice
         smooth = GaussianEnvelope(center=center, sigma=0.3)
         np.testing.assert_array_equal(env.value(on_sphere), smooth.value(on_sphere))
         outside = env.center + (1.0 + 1e-9) * (on_sphere - env.center)
@@ -404,6 +408,14 @@ class TestSourceModel:
         assert np.all(src.charge_density(xp, tp) == 0.0)
 
 
+CUBE, CENTRED_BALL = Box(lo=(-0.3,) * 3, hi=(0.3,) * 3), Ball(center=(0, 0, 0), radius=0.3)
+
+
+def leakage_of(envelope, domain, amplitude=1.0):
+    pulse = SineSquaredPulse(t_on=0.0, tau=2.0)
+    return SourceModel(envelope, pulse, (0, 0, 1), amplitude, domain).boundary_leakage()
+
+
 class TestBoundaryLeakage:
     def test_smooth_gaussian_is_tiny(self):
         src = gaussian_source(domain_sigmas=8.0)
@@ -436,6 +448,32 @@ class TestBoundaryLeakage:
             domain=Box(lo=(-8 * sigma,) * 3, hi=(8 * sigma,) * 3),
         )
         assert src.boundary_leakage() < 1e-13
+
+    def test_off_centre_gaussian_in_box_is_exact(self):
+        # the generated box benchmark's seed-0 source (bench/workloads.py)
+        sigma, center = 0.1, np.array([-0.014465, 0.000676, -0.005704])
+        leakage = leakage_of(GaussianEnvelope(center=center, sigma=sigma), CUBE)
+        gap = np.min(0.3 - np.abs(center))
+        assert leakage == pytest.approx(np.exp(-(gap**2) / (2 * sigma**2)), rel=1e-14, abs=0)
+
+    def test_off_centre_gaussian_in_ball_is_exact(self):
+        sigma, ball = 0.15, Ball(center=(0.1, -0.2, 0.05), radius=0.5)
+        center = np.array([0.2, -0.05, 0.1])
+        leakage = leakage_of(GaussianEnvelope(center=center, sigma=sigma), ball, amplitude=-2.5)
+        gap = ball.radius - np.linalg.norm(center - ball.center)
+        assert leakage == pytest.approx(np.exp(-(gap**2) / (2 * sigma**2)), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("domain", [CUBE, CENTRED_BALL], ids=["box", "ball"])
+    def test_envelope_centre_outside_the_domain_gives_one(self, domain):
+        # the peak over the domain is then on its boundary
+        envelope = GaussianEnvelope(center=(0.25, 0.35, 0.2), sigma=0.1)
+        assert domain.exterior_distance(envelope.center) > 0.0
+        assert leakage_of(envelope, domain, amplitude=0.5) == 1.0
+
+    @pytest.mark.parametrize("domain", [CUBE, CENTRED_BALL], ids=["box", "ball"])
+    def test_cut_short_of_the_boundary_gives_zero(self, domain):
+        envelope = TruncatedGaussianEnvelope(center=(0.05, -0.02, 0.0), sigma=0.1, cut_radius=0.2)
+        assert leakage_of(envelope, domain) == 0.0
 
 
 class TestFactories:
