@@ -97,12 +97,13 @@ def moment_count(x_max: float) -> int:
         term *= x_max * math.sqrt(k + 2) / k
 
 
-#: Sorted nodes per block of ``moment_sums``' products.  Whole-radius (K,
-#: nodes) powers and a sorted (columns, nodes) copy are fresh pages on every
-#: radius: they raised minor page faults per run about 30-fold and saved no
-#: time.  On ``negative_velocity.cfg`` 1024-node blocks fault least (340-380
-#: times per run, against 490 at 512 nodes and 750 at 2048), and
-#: smaller blocks spend the gain on per-block calls.
+#: Sorted nodes per block of ``moment_sums``' products.  The ring sweeps of
+#: the shipped configs (100 rings a radius, at most 484) fit in one block;
+#: box and off-axis ball sweeps span several.  The block bounds a call's
+#: memory: the zones calls of the memory tests, at 8192 and 21296 nodes,
+#: peak at 12.4 and 7.5 node arrays, 15.8 and 8.3 at 2048-node blocks and
+#: 22.8 and 9.8 at 4096.  2048-node blocks also fault about 670 times per
+#: repeated run of an off-axis 5488-node sweep, against 90 at 1024.
 _MOMENT_BLOCK = 1024
 
 #: Moments ``moment_sums`` contracts with the coefficient rows at once, as
@@ -168,13 +169,9 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
 
     The sorted nodes are taken a block of ``_MOMENT_BLOCK`` at a time: the
     block's part of every column is gathered into one (columns, block) array
-    next to its basis rows, and the nodes between two marks are summed by
-    one (columns, piece) @ (piece, K) product.  A block cut into more pieces
-    than K times the columns is multiplied out whole and summed piece by
-    piece (reduceat) instead: a product call costs about as much as
-    multiplying out and summing 1024 entries, and a whole block has K times
-    the columns times 1024 of them.  The coefficient rows are contracted
-    once per kind, a chunk of pairs at a time.
+    next to its basis rows, and each piece, the nodes between two marks, is
+    summed by one (columns, piece) @ (piece, K) product.  The coefficient
+    rows are contracted once per kind, a chunk of pairs at a time.
     """
     order = np.argsort(delays)
     ordered = delays[order]
@@ -209,9 +206,7 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
     prefix = np.zeros((marks.size, rows[-1], count))
     gathered = np.empty(rows[-1] * _MOMENT_BLOCK)
     basis = np.empty(count * _MOMENT_BLOCK)
-    # no prefix beyond the last b, or the last a that F reads, is needed
-    reach = max(b_run.max(initial=0), past.max(initial=0))
-    blocks = np.searchsorted(marks, np.append(np.arange(0, reach, _MOMENT_BLOCK), reach)).tolist()
+    blocks = np.searchsorted(marks, np.append(np.arange(0, n, _MOMENT_BLOCK), n)).tolist()
     for m0, m1 in zip(blocks[:-1], blocks[1:]):
         nodes = slice(marks[m0], marks[m1])
         cuts = (marks[m0 : m1 + 1] - marks[m0]).tolist()
@@ -221,10 +216,6 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
             np.take(cols, order[nodes], axis=1, out=block[r0:r1], mode="clip")
         ladder = basis[: count * cuts[-1]].reshape(count, cuts[-1])
         expansion.basis(nodes, ladder)
-        if m1 - m0 > count * rows[-1]:
-            pieces = np.add.reduceat(block[:, None] * ladder, cuts[:-1], axis=2)
-            prefix[m0 + 1 : m1 + 1] = pieces.transpose(2, 0, 1)
-            continue
         for i, (start, stop) in enumerate(zip(cuts[:-1], cuts[1:]), m0 + 1):
             np.matmul(block[:, start:stop], ladder[:, start:stop].T, out=prefix[i])
     np.cumsum(prefix, axis=0, out=prefix)

@@ -543,10 +543,10 @@ def _delay_cases():
     pulse = DifferentiatedGaussianPulse(t_on=0.5, tau=8.0)  # width 0.5
     w = pulse.width
 
-    def span(d):
+    def span(d, count=301):
         """Times from before the pulse reaches the nearest node to after it
         has left the farthest."""
-        return np.linspace(d.min() - 0.5, d.max() + pulse.tau + 0.5, 301)
+        return np.linspace(d.min() - 0.5, d.max() + pulse.tau + 0.5, count)
 
     many = 3.0 + rng.uniform(0.0, 40 * w, 400)
     # the delays of one slab straddle the clip edge where the pulse starts
@@ -561,6 +561,9 @@ def _delay_cases():
     # several blocks of the moment products, each cut by slab starts and
     # run ends that fall off the block ends
     blocks = 3.0 + rng.uniform(0.0, 60 * w, 3 * sources._MOMENT_BLOCK + 300)
+    # two blocks on a dense grid: 1201 times cut the first into about 760
+    # pieces, more than its K = 23 moments times the twelve columns
+    dense = 3.0 + rng.uniform(0.0, 60 * w, 1100)
     return {
         "many-slabs": (pulse, many, span(many), "kinds"),
         "astride-clip-edges": (pulse, slab, edges, "kinds"),
@@ -570,6 +573,7 @@ def _delay_cases():
         "several-blocks": (pulse, blocks, span(blocks), "kinds"),
         "several-blocks-zones": (pulse, blocks, span(blocks), "zones"),
         "several-blocks-jefimenko": (pulse, blocks, span(blocks), "jefimenko"),
+        "dense-times-zones": (pulse, dense, span(dense, 1201), "zones"),
     }
 
 
@@ -603,9 +607,8 @@ def _sine_squared_cases():
     edges = np.append(edges, t_lead + pulse.tau + 1.0)
     tied = 3.0 + rng.integers(0, 12, 300) * 0.37
     one = np.array([3.25])
-    # 41 times leave a few pieces per block, summed by a product each; 301
-    # and the 801 times of box_jefimenko cut each block into many pieces,
-    # summed together
+    # 41 times leave a few pieces per block; 301 and the 801 times of
+    # box_jefimenko cut each block into many, each summed by its own product
     blocks = 3.0 + rng.uniform(0.0, 3 * pulse.tau, 3 * sources._MOMENT_BLOCK + 300)
     box = 3.0 + rng.uniform(0.0, 0.5 * pulse.tau, 4 * sources._MOMENT_BLOCK)
     return {
