@@ -154,7 +154,7 @@ class NodeKernel:
             )
         self.src, self.rule, self.constants = src, rule, constants
         self.forms = [KERNELS[representation] for representation in representations]
-        self.nodes = rule.node_rows
+        self.nodes = rule.rows
         # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
         self.weighted = _read_only(rule.weights * src.current_factor(self.nodes.T))
         if "jefimenko" in representations:
@@ -195,18 +195,18 @@ class NodeKernel:
         entry, at its retarded time, and each kind's (F, f, f') sums are its
         columns against those values.  The floor is sqrt(nodes) * eps times,
         summed over the kinds at k_c / c^kind, the largest of a kind's sums
-        over every node of |column_i| * |pulse quantity at node i|; on rings
-        (one pulse value each), of the columns of the ring sums of |data| at
-        theta = 0: zones rows theta (theta . p_hat) are at most the scalar
-        row.  numpy's reductions form the sums, unmoved by BLAS threads."""
+        over every node of |column_i| * |pulse quantity at node i|, from the
+        ring sums of |data| (a node is a ring of one; a ring shares its pulse
+        value) at theta = 0: zones rows theta (theta . p_hat) are at most the
+        scalar row.  numpy's reductions form the sums, unmoved by BLAS threads."""
         c, k_c = self.constants.c, self.constants.coulomb
         delays, stacked = self.columns(x)
         pulse = self.src.profile.evaluate(t - delays)
         sums = [None if cols is None else np.einsum("kn,n->k", cols, values)[None]
                 for cols, values in zip(stacked, pulse)]
-        if (ring := len(self.rule) // delays.size) > 1:
-            stacked = self._stack(_rings(self, ring, magnitudes=True), delays * c, np.zeros((3, delays.size)))
-        size = sum(k_c / c**kind * np.einsum("kn,n->k", np.abs(b, out=b), np.abs(v)).max()
+        magnitudes = _rings(self, len(self.rule) // delays.size, magnitudes=True)
+        stacked = self._stack(magnitudes, delays * c, np.zeros((3, delays.size)))
+        size = sum(k_c / c**kind * np.einsum("kn,n->k", b, np.abs(v)).max()
                    for kind, (b, v) in enumerate(zip(stacked, pulse)) if b is not None)
         return self.assemble(sums), float(np.sqrt(len(self.rule)) * np.finfo(float).eps * size)
 

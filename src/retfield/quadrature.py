@@ -32,7 +32,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    nodes: np.ndarray  # (n, 3)
+    # (3, n): the node coordinates one row per component, read-only since
+    # every kernel on this rule shares them
+    rows: np.ndarray
     # (n,), positive; summing to volume(domain) unless built for an envelope
     weights: np.ndarray
     order: int
@@ -40,8 +42,13 @@ class QuadratureRule:
     axis: Vec3 | None = None  # a ball's unit polar axis
     ring: int = 1  # nodes per ring about it
 
+    @property
+    def nodes(self) -> np.ndarray:
+        """The nodes, (n, 3): a view of ``rows``."""
+        return self.rows.T
+
     def __len__(self) -> int:
-        return self.nodes.shape[0]
+        return self.rows.shape[1]
 
     def ring_at(self, x) -> int:
         """Nodes per ring equally far from ``x``: ``ring`` on the axis line (to
@@ -50,14 +57,6 @@ class QuadratureRule:
         off_axis = 0.0 if self.ring == 1 else np.linalg.norm(d - (d @ self.axis) * self.axis)
         slack = 8.0 * np.finfo(float).eps * (np.linalg.norm(d) + np.linalg.norm(self.domain.center))
         return self.ring if off_axis <= slack else 1
-
-    @functools.cached_property
-    def node_rows(self) -> np.ndarray:
-        """The nodes one row per component, (3, n), read-only, shared by
-        every kernel on this rule."""
-        rows = np.ascontiguousarray(self.nodes.T)
-        rows.flags.writeable = False
-        return rows
 
 
 def _gauss_legendre(nodes, weights, lo: float, hi: float):
@@ -162,13 +161,12 @@ def build_rule(domain: Domain, order: int, envelope=None, axis=None) -> Quadratu
     legendre = np.polynomial.legendre.leggauss(order)
     if isinstance(domain, Box):
         axes = [_gauss_legendre(*legendre, domain.lo[a], domain.hi[a]) for a in range(3)]
-        xs = np.stack(
-            np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij"), axis=-1
-        ).reshape(-1, 3)
+        rows = np.stack(np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij")).reshape(3, -1)
+        rows.flags.writeable = False
         ws = (
             axes[0][1][:, None, None] * axes[1][1][None, :, None] * axes[2][1][None, None, :]
         ).reshape(-1)
-        return QuadratureRule(nodes=xs, weights=ws, order=order, domain=domain)
+        return QuadratureRule(rows=rows, weights=ws, order=order, domain=domain)
     if isinstance(domain, Ball):
         if isinstance(envelope, GaussianEnvelope) and np.array_equal(envelope.center, domain.center):
             r, wr = _envelope_radial(min(envelope.reach, domain.radius), envelope.sigma, order)
@@ -186,9 +184,10 @@ def build_rule(domain: Domain, order: int, envelope=None, axis=None) -> Quadratu
         a = a / np.linalg.norm(a)
         e1 = np.eye(3)[np.argmin(np.abs(a))] - a[np.argmin(np.abs(a))] * a
         frame = np.array([e1 / np.linalg.norm(e1), np.cross(a, e1 / np.linalg.norm(e1)), a])
-        nodes = np.stack([polar[0] * u + polar[1] * v + polar[2] * w for u, v, w in frame.T], -1)
-        nodes = domain.center + nodes.reshape(-1, 3)
+        rows = np.stack([polar[0] * u + polar[1] * v + polar[2] * w for u, v, w in frame.T])
+        rows = rows.reshape(3, -1) + domain.center[:, None]
+        rows.flags.writeable = False
         weights = (wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]).reshape(-1)
-        return QuadratureRule(nodes=nodes, weights=weights, order=order, domain=domain,
+        return QuadratureRule(rows=rows, weights=weights, order=order, domain=domain,
                               axis=frame[2], ring=nphi)
     raise TypeError(f"unsupported domain type: {type(domain).__name__}")

@@ -52,34 +52,29 @@ def write_csv(path: Path | str, header: str, rows, suffix: str = "") -> Path:
     """Write ``header``, then one line per row of floats plus ``suffix``.
 
     Floats carry 17 significant digits (``%.17g``) so values round-trip
-    exactly.  A value whose bits equal the value above it in its column
-    reuses that value's text, so only fresh values are formatted; a block
-    of ``CSV_BLOCK_ROWS`` rows is then written as one string.  Comparing
-    bits keeps ``0.0`` and ``-0.0`` apart.
+    exactly.  Within a block of ``CSV_BLOCK_ROWS`` rows, a value whose bits
+    equal the value above it in its column reuses that value's text, so
+    only fresh values are formatted; the block is then written as one
+    string.  Comparing bits keeps ``0.0`` and ``-0.0`` apart.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"CSV rows must form a 2-D table, got shape {rows.shape}")
     path = Path(path)
-    k = rows.shape[1]
-    line = ",".join(["%s"] * k) + suffix + "\n"
-    # The first block compares the first row with itself.
-    above, above_text = rows[:1], ["%.17g" % v for v in rows[:1].ravel().tolist()]
+    line = ",".join(["%s"] * rows.shape[1]) + suffix + "\n"
     with path.open("w") as f:
         f.write(header + "\n")
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = np.concatenate([above, rows[start : start + CSV_BLOCK_ROWS]])
+            block = rows[start : start + CSV_BLOCK_ROWS]
             bits = block.view(np.int64)
             fresh = np.ones(block.shape, dtype=bool)
             np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
             # Each entry's text is the pool entry of the last fresh value at
             # or above it in its column; pool ranks grow down every column.
             rank = np.cumsum(fresh).reshape(block.shape) - 1
-            source = np.maximum.accumulate(np.where(fresh, rank, 0), axis=0)[1:]
-            fresh_text = ["%.17g" % v for v in block[1:][fresh[1:]].tolist()]
-            texts = np.array(above_text + fresh_text, dtype=object)[source].ravel().tolist()
-            f.write((line * len(source)) % tuple(texts))
-            above, above_text = block[-1:], texts[len(texts) - k :]
+            source = np.maximum.accumulate(np.where(fresh, rank, 0), axis=0)
+            pool = np.array(["%.17g" % v for v in block[fresh].tolist()], dtype=object)
+            f.write((line * len(block)) % tuple(pool[source].ravel().tolist()))
     return path
 
 

@@ -118,6 +118,9 @@ def test_kernel_weights_are_rule_weights_times_source_factors(envelope, monkeypa
     assert kernel.nodes.tobytes() == np.ascontiguousarray(rule.nodes.T).tobytes()
     for array in (kernel.nodes, kernel.weighted, kernel.charge_weights):
         assert array.flags.c_contiguous and not array.flags.writeable
+    # the rule holds its nodes once: (3, n) rows, which its kernels alias
+    assert kernel.nodes is rule.rows and np.shares_memory(rule.nodes, rule.rows)
+    assert not rule.nodes.flags.writeable and not rule.rows.flags.writeable
 
     def no_hessian(self, points):
         raise AssertionError("the zones kernel evaluated the Hessian")
@@ -218,25 +221,31 @@ def test_node_frame_matches_frozen_bodies_for_oblique_polarization(envelope):
 
 
 #: Node-length float arrays that ``NodeKernel.columns`` of the zones form may
-#: hold beyond the ones it returns, and that the construction of a kernel of
-#: both forms may hold at its peak (the (nodes, 3) layout held 10 and 32.4).
+#: hold beyond the ones it returns, that the construction of a kernel of both
+#: forms may hold at its peak (the (nodes, 3) layout held 10 and 32.4), and
+#: that its rule and it keep (11.3 when a rule also kept an (n, 3) copy of
+#: its nodes).
 AT_SCRATCH_ARRAYS = 5
 CONSTRUCTION_ARRAYS = 20
+RETAINED_ARRAYS = 8.5
 
 
 @pytest.mark.parametrize("envelope", ["gaussian", "truncated"])
 def test_kernel_allocations_stay_within_a_few_node_arrays(envelope):
     """tracemalloc sees numpy's buffers, so the peaks are exact counts."""
     src = source(envelope)
-    rule = build_rule(src.domain, 22)
-    assert len(rule) == 21296
-    node_array = 8 * len(rule)
+    build_rule(src.domain, 1)  # a process's first build imports numpy.polynomial
     x = _ray_points()[0]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        NodeKernel(src, rule, BOTH, NATURAL)
-        construction_peak = tracemalloc.get_traced_memory()[1] - start
+        rule = build_rule(src.domain, 22)
+        tracemalloc.reset_peak()
+        built = tracemalloc.get_traced_memory()[0]
+        both = NodeKernel(src, rule, BOTH, NATURAL)
+        construction_peak = tracemalloc.get_traced_memory()[1] - built
+        retained = tracemalloc.get_traced_memory()[0] - start
+        del both
         kernel = NodeKernel(src, rule, ("zones",), NATURAL)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -244,10 +253,13 @@ def test_kernel_allocations_stay_within_a_few_node_arrays(envelope):
         returned, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    assert len(rule) == 21296
+    node_array = 8 * len(rule)
     delays, columns = geometry
     assert returned >= 8 * (delays.size + sum(c.size for c in columns))
     assert peak <= returned + AT_SCRATCH_ARRAYS * node_array
     assert construction_peak <= CONSTRUCTION_ARRAYS * node_array
+    assert retained <= RETAINED_ARRAYS * node_array
 
 
 @pytest.mark.parametrize("pulse", sorted(PULSES))

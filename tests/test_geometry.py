@@ -25,7 +25,7 @@ def one_node(xp):
     """A source and a one-node rule at ``xp``, for the engine's node frame."""
     xp = np.asarray(xp, dtype=float)
     domain = Ball(center=xp, radius=1e-9)
-    rule = QuadratureRule(nodes=xp[None, :], weights=np.ones(1), order=1, domain=domain)
+    rule = QuadratureRule(rows=xp[:, None], weights=np.ones(1), order=1, domain=domain)
     src = SourceModel(
         envelope=GaussianEnvelope(center=xp, sigma=1.0),
         profile=SineSquaredPulse(t_on=0.0, tau=1.0),
