@@ -22,7 +22,9 @@ field's rounding floor (``NodeKernel.at``).
 Both run on one time-batched engine.  A ``NodeKernel`` is built once per
 sampling for one or more representations; it weights the source's node
 factors (``SourceModel.current_factor``, ``charge_gradient_factor``) by the
-rule's weights, and sums them per ring of the rule, each once.  At one
+rule's weights, and sums them per ring of the rule, each once, on first
+use (on a ball's axis under a centred envelope, from four nodes a ring,
+``QuadratureRule.quarters``).  At one
 observation point it writes every form's kernel columns from one node frame
 (``columns``), one entry per ring where the point is on the rule's axis,
 else per node.  Over a grid of times it assembles each form's terms from
@@ -37,7 +39,9 @@ evaluate one form at a single time, the rungs of ``refined_field``;
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Mapping
 
@@ -112,38 +116,45 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rings(kernel: NodeKernel, size: int, magnitudes: bool = False) -> SimpleNamespace:
+def _fold(a: np.ndarray | None, size: int) -> np.ndarray | None:
+    """``a`` (..., nodes) summed over each run of ``size`` nodes."""
+    return a if a is None or size == 1 else a.reshape(*a.shape[:-1], -1, size).sum(-1)
+
+
+def _rings(kernel: NodeKernel, size: int) -> SimpleNamespace:
     """``kernel``'s node data summed over each ring of ``size`` nodes, as a
     form's ``columns`` reads it: each ring's first node (3, rings), W = sum
     w*A*g, the charge factors (3, rings) or None and, for zones on rings of
     more than one node, with e = first node - node, the ``spread`` (E1, E2)
-    = (sum w*A*g*e, sum w*A*g*e (e . p_hat)); of |data| (no spread) for ``magnitudes``."""
+    = (sum w*A*g*e, sum w*A*g*e (e . p_hat))."""
     nodes, w, charge = kernel.nodes, kernel.weighted, getattr(kernel, "charge_weights", None)
-    if magnitudes:
-        w, charge = np.abs(w), None if charge is None else np.abs(charge)
     spread = None
-    if size > 1 and not magnitudes and any(f.representation == "zones" for f in kernel.forms):
+    if size > 1 and any(f.representation == "zones" for f in kernel.forms):
         e = nodes[:, ::size, None] - nodes.reshape(3, -1, size)
         e1 = (w.reshape(-1, size) * e).sum(axis=-1)
         e *= w.reshape(-1, size) * np.einsum("i,irn->rn", kernel.src.polarization, e)
         spread = (e1, e.sum(axis=-1))
-    fold = lambda a: a if a is None or size == 1 else a.reshape(*a.shape[:-1], -1, size).sum(-1)
     return SimpleNamespace(src=kernel.src, nodes=np.ascontiguousarray(nodes[:, ::size]),
-                           weighted=fold(w), charge_weights=fold(charge), spread=spread)
+                           weighted=_fold(w, size), charge_weights=_fold(charge, size),
+                           spread=spread)
 
 
 class NodeKernel:
     """The kernel of one or more representations (``KERNELS``) on one
     sampling: one source, rule and constants.
 
-    It holds, read-only since it serves every radius and thread, the
-    (3, nodes) node coordinates, the weighted current factor w*A*g and, only
-    when the Jefimenko form is among its forms, the (3, nodes) weighted
-    charge gradient factor -w*A*(H . p_hat), the gradient of the charge per
-    unit F(t); ``rings`` holds them summed per ring of one node or the rule's.
-    Per kind (F, f, f') its forms' rows of columns are stacked in their
-    given order: ``spans`` holds, per form, the slice of each kind's stack
-    that is its own (None for no rows).
+    It holds, read-only since it serves every radius and thread, and each
+    built on first use: the (3, nodes) node coordinates, the weighted
+    current factor w*A*g and, only when the Jefimenko form is among its
+    forms, the (3, nodes) weighted charge gradient factor -w*A*(H . p_hat),
+    the gradient of the charge per unit F(t); ``rings`` holds them summed
+    per ring of one node or the rule's (``ring_sums``).  On the axis of a ball rule of
+    order >= 2 whose source's envelope is centred on the ball, the ring
+    sums are those of the rule's ``quarters``, four nodes a ring, so the
+    rule's own nodes are never built there (but for the Jefimenko form's
+    rounding floor, ``at``).  Per kind (F, f, f') its forms' rows of
+    columns are stacked in their given order: ``spans`` holds, per form,
+    the slice of each kind's stack that is its own (None for no rows).
     """
 
     def __init__(self, src: SourceModel, rule: QuadratureRule, representations,
@@ -154,17 +165,45 @@ class NodeKernel:
             )
         self.src, self.rule, self.constants = src, rule, constants
         self.forms = [KERNELS[representation] for representation in representations]
-        self.nodes = rule.rows
-        # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
-        self.weighted = _read_only(rule.weights * src.current_factor(self.nodes.T))
-        if "jefimenko" in representations:
-            charge_factor = src.charge_gradient_factor(self.nodes.T).T
-            self.charge_weights = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
-        self.rings = {size: _rings(self, size) for size in {1, rule.ring}}
+        self.rings = {}
+        self._lock = threading.Lock()  # threads of one sweep share the rings built on first use
         ends = np.cumsum([form.widths for form in self.forms], axis=0)
         self.spans = [[slice(e - w, e) if w else None for w, e in zip(form.widths, end)]
                       for form, end in zip(self.forms, ends)]
         self.height, self.splits = ends[-1].sum(), np.cumsum(ends[-1])[:-1]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.rule.rows
+
+    @cached_property
+    def weighted(self) -> np.ndarray:
+        # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
+        return _read_only(self.rule.weights * self.src.current_factor(self.nodes.T))
+
+    @cached_property
+    def charge_weights(self) -> np.ndarray:
+        if KERNELS["jefimenko"] not in self.forms:
+            raise AttributeError("charge_weights: the Jefimenko form is not among this kernel's")
+        charge_factor = self.src.charge_gradient_factor(self.nodes.T).T
+        return _read_only(np.multiply(self.rule.weights, charge_factor, order="C"))
+
+    def ring_sums(self, size: int) -> SimpleNamespace:
+        """The node data summed per ring of ``size`` nodes (``_rings``),
+        built once."""
+        with self._lock:
+            if size not in self.rings:
+                rule = self.rule
+                # both envelope kinds are Gaussians radial about their centre
+                # (QuadratureRule.quarters); 2*order >= 3 azimuths
+                if size == rule.ring > 2 and np.array_equal(self.src.envelope.center,
+                                                            rule.domain.center):
+                    forms = [form.representation for form in self.forms]
+                    self.rings[size] = _rings(
+                        NodeKernel(self.src, rule.quarters(), forms, self.constants), 4)
+                else:
+                    self.rings[size] = _rings(self, size)
+            return self.rings[size]
 
     def _stack(self, rings, r, theta):
         """``columns``' stack of ``rings`` at ``r`` and ``theta`` (overwritten)."""
@@ -178,7 +217,7 @@ class NodeKernel:
     def columns(self, x: Vec3):
         """Delays R/c at ``x`` and, per kind, every form's columns stacked in
         one (rows, rings) array, or None; a ring is one node off the axis."""
-        rings = self.rings[self.rule.ring_at(x)]
+        rings = self.ring_sums(self.rule.ring_at(x))
         r, theta = _frame(self.src, rings.nodes, x)
         stacked = self._stack(rings, r, theta)
         return np.divide(r, self.constants.c, out=r), stacked
@@ -198,13 +237,19 @@ class NodeKernel:
         over every node of |column_i| * |pulse quantity at node i|, from the
         ring sums of |data| (a node is a ring of one; a ring shares its pulse
         value) at theta = 0: zones rows theta (theta . p_hat) are at most the
-        scalar row.  numpy's reductions form the sums, unmoved by BLAS threads."""
+        scalar row.  The Jefimenko form's sums of |w*A*(H . p_hat)| are taken
+        node by node.  numpy's reductions form the sums, unmoved by BLAS threads."""
         c, k_c = self.constants.c, self.constants.coulomb
         delays, stacked = self.columns(x)
         pulse = self.src.profile.evaluate(t - delays)
         sums = [None if cols is None else np.einsum("kn,n->k", cols, values)[None]
                 for cols, values in zip(stacked, pulse)]
-        magnitudes = _rings(self, len(self.rule) // delays.size, magnitudes=True)
+        ring = len(self.rule) // delays.size
+        charge = getattr(self, "charge_weights", None)
+        # a ring's w*A*g share a sign, so |W| is the sum of their magnitudes
+        magnitudes = SimpleNamespace(
+            src=self.src, spread=None, weighted=np.abs(self.ring_sums(ring).weighted),
+            charge_weights=None if charge is None else _fold(np.abs(charge), ring))
         stacked = self._stack(magnitudes, delays * c, np.zeros((3, delays.size)))
         size = sum(k_c / c**kind * np.einsum("kn,n->k", b, np.abs(v)).max()
                    for kind, (b, v) in enumerate(zip(stacked, pulse)) if b is not None)

@@ -11,7 +11,8 @@ kernel columns and envelope Hessian as they stood before the engine laid
 nodes out one row per component are frozen in ``legacy_frame``,
 ``legacy_zone_at``, ``legacy_jefimenko_at`` and ``legacy_hessian``, and
 the rule build that took a Legendre rule per axis in
-``legacy_build_rule``.  Do not edit these bodies to follow the package.
+``legacy_build_rule``, which takes the 1-D Gauss-Legendre rule it maps as
+an argument.  Do not edit these bodies to follow the package.
 """
 
 from __future__ import annotations
@@ -174,16 +175,19 @@ def legacy_jefimenko_at(src, rule, x, constants):
     return r / constants.c, (current, charge)
 
 
-def _legacy_gauss_legendre(order, lo, hi):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _legacy_gauss_legendre(legendre, order, lo, hi):
+    x, w = legendre(order)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
 
-def legacy_build_rule(domain, order):
-    """(nodes, weights) of a box or ball rule, one Legendre rule per axis."""
+def legacy_build_rule(domain, order, legendre):
+    """(nodes, weights) of a box or ball rule, one Legendre rule per axis,
+    each ``legendre(order)``: the (nodes, weights) of the rule on [-1, 1]."""
     if isinstance(domain, Box):
-        axes = [_legacy_gauss_legendre(order, domain.lo[a], domain.hi[a]) for a in range(3)]
+        axes = [
+            _legacy_gauss_legendre(legendre, order, domain.lo[a], domain.hi[a]) for a in range(3)
+        ]
         xs = np.stack(
             np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij"), axis=-1
         ).reshape(-1, 3)
@@ -192,8 +196,8 @@ def legacy_build_rule(domain, order):
         ).reshape(-1)
         return xs, ws
     assert isinstance(domain, Ball)
-    r, wr = _legacy_gauss_legendre(order, 0.0, domain.radius)
-    mu, wmu = _legacy_gauss_legendre(order, -1.0, 1.0)
+    r, wr = _legacy_gauss_legendre(legendre, order, 0.0, domain.radius)
+    mu, wmu = _legacy_gauss_legendre(legendre, order, -1.0, 1.0)
     nphi = 2 * order
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     wphi = np.full(nphi, 2.0 * np.pi / nphi)

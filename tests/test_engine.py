@@ -10,7 +10,9 @@ direct node sums in extended precision.
 """
 
 import dataclasses
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +28,13 @@ from legacy_fields import (
 from retfield import sources
 from retfield.analysis import sample_representations, sample_waveforms
 from retfield.domains import Ball, Box
-from retfield.evaluators import EVALUATORS, NodeKernel, ObservationPoint, zone_field
+from retfield.evaluators import (
+    EVALUATORS,
+    NodeKernel,
+    ObservationPoint,
+    refined_field,
+    zone_field,
+)
 from retfield.geometry import NATURAL, PhysicalConstants, double_gradient_kernel, far_kernel
 from retfield.quadrature import build_rule
 from retfield.sources import (
@@ -222,9 +230,10 @@ def test_node_frame_matches_frozen_bodies_for_oblique_polarization(envelope):
 
 #: Node-length float arrays that ``NodeKernel.columns`` of the zones form may
 #: hold beyond the ones it returns, that the construction of a kernel of both
-#: forms may hold at its peak (the (nodes, 3) layout held 10 and 32.4), and
-#: that its rule and it keep (11.3 when a rule also kept an (n, 3) copy of
-#: its nodes).
+#: forms and of its node data, built on first use, may hold at its peak (the
+#: (nodes, 3) layout held 10 and 32.4; 3.0 and 13.1 measured), and that its
+#: rule and it keep (11.3 when a rule also kept an (n, 3) copy of its nodes;
+#: 8.0 measured).
 AT_SCRATCH_ARRAYS = 5
 CONSTRUCTION_ARRAYS = 20
 RETAINED_ARRAYS = 8.5
@@ -234,7 +243,6 @@ RETAINED_ARRAYS = 8.5
 def test_kernel_allocations_stay_within_a_few_node_arrays(envelope):
     """tracemalloc sees numpy's buffers, so the peaks are exact counts."""
     src = source(envelope)
-    build_rule(src.domain, 1)  # a process's first build imports numpy.polynomial
     x = _ray_points()[0]
     tracemalloc.start()
     try:
@@ -243,6 +251,7 @@ def test_kernel_allocations_stay_within_a_few_node_arrays(envelope):
         tracemalloc.reset_peak()
         built = tracemalloc.get_traced_memory()[0]
         both = NodeKernel(src, rule, BOTH, NATURAL)
+        both.ring_sums(1)  # the rule's nodes and the kernel's node data, built on first use
         construction_peak = tracemalloc.get_traced_memory()[1] - built
         retained = tracemalloc.get_traced_memory()[0] - start
         del both
@@ -771,6 +780,57 @@ def test_ring_sums_match_node_sums_on_the_axis(representation, envelope, pulse):
             assert np.abs(terms - frozen).max() <= bound
             assert np.abs(terms - node_terms).max() <= rounding
             assert rounding == pytest.approx(node_rounding, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("envelope", ["gaussian", "truncated"])
+def test_centred_ball_on_its_axis_never_builds_the_rule_nodes(envelope):
+    """A zones calibration at a point on the axis and a sweep of both forms
+    along the ray through the centre, as the compare task runs them, take
+    every ring sum from the rules' quarters: no rule of the ladder builds
+    its nodes or weights, and ``len`` still counts them."""
+    src = source(envelope)
+    direction = np.array([1.0, 0.3, 0.2]) / np.linalg.norm([1.0, 0.3, 0.2])
+    rules = {}
+    probe = ObservationPoint(src.domain.center + RADII[0] * direction, 4.0)
+    refined_field("zones", src, probe, NATURAL, 8, 14, 1e-10, rule_cache=rules)
+    rule = rules[max(rules)]
+    sample_representations(src, BOTH, src.domain.center, direction, RADII, TIMES, rule)
+    assert len(rules) > 1
+    for order, built in rules.items():
+        assert not {"rows", "weights"} & set(vars(built))
+        assert len(built) == 2 * order**3
+
+
+def test_threads_build_the_ring_sums_once(monkeypatch):
+    """More threads than cores, switching every microsecond, that reach a
+    kernel's ring sums before they exist share one build of them: the
+    envelope's value and Hessian are each evaluated once, and every thread
+    gets the columns one thread gets."""
+    src = source("truncated")
+    rule = build_rule(src.domain, 10, src.envelope, AXIS)
+    points = [src.domain.center + offset * AXIS for offset in AXIS_OFFSETS] * 4
+    expected = [NodeKernel(src, rule, BOTH, NATURAL).columns(x) for x in points]
+    calls = []
+    for name in ("value", "hessian"):
+        method = getattr(type(src.envelope), name)
+
+        def counted(self, points, *direction, name=name, method=method):
+            calls.append(name)
+            return method(self, points, *direction)
+
+        monkeypatch.setattr(type(src.envelope), name, counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        kernel = NodeKernel(src, rule, BOTH, NATURAL)
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(kernel.columns, points, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == ["value", "hessian"]
+    for (delays, stacked), (frozen_delays, frozen_stacked) in zip(got, expected):
+        assert delays.tobytes() == frozen_delays.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, frozen_stacked))
 
 
 @pytest.mark.parametrize("representation", BOTH)

@@ -23,9 +23,34 @@ def test_rule_keeps_the_per_axis_build_bits(domain, order):
     """One Legendre rule mapped onto every interval gives the nodes and
     weights of one Legendre rule per interval, bit for bit."""
     rule = build_rule(domain, order)
-    nodes, weights = legacy_build_rule(domain, order)
+    nodes, weights = legacy_build_rule(domain, order, quadrature._legendre)
     assert rule.nodes.tobytes() == nodes.tobytes()
     assert rule.weights.tobytes() == weights.tobytes()
+
+
+class TestLegendre:
+    """The Gauss-Legendre rule of ``_gauss`` on the Legendre recurrence."""
+
+    def test_matches_numpy_leggauss_to_orders_64(self):
+        """Within 1e-15 on nodes and 2.5e-12 relative on weights (measured
+        5.6e-16 and 1.75e-12, at the weights next to +/-1, where leggauss is
+        1.8e-12 and this rule 2.8e-13 from 40-digit ones)."""
+        for order in range(1, 65):
+            x, w = quadrature._legendre(order)
+            expected_x, expected_w = np.polynomial.legendre.leggauss(order)
+            assert np.abs(x - expected_x).max() <= 1e-15
+            assert np.abs(w / expected_w - 1.0).max() <= 2.5e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 22, 32, 64])
+    def test_exactly_symmetric_and_exact_to_degree_2n_minus_1(self, order):
+        x, w = quadrature._legendre(order)
+        assert x.tolist() == (-x[::-1]).tolist() and w.tolist() == w[::-1].tolist()
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        for k in range(2 * order):
+            if k % 2:
+                assert abs(w @ x**k) <= 1e-15
+            else:
+                assert w @ x**k == pytest.approx(2.0 / (k + 1), rel=2e-13, abs=0.0)
 
 
 def integrate(fn, rule):

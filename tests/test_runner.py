@@ -1,11 +1,15 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retfield
 from retfield import evaluators, runner
 from retfield.cli import main
 from retfield.config import TASKS, config_from_mapping, parse_config
@@ -741,6 +745,25 @@ tasks = scaling
             assert lines[0].startswith("retfield: warning: velocity task: time step")
             assert lines[1].startswith("retfield: warning: quadrature order 12 misses tol 1e-30")
         assert logging.getLogger("retfield").handlers == []
+
+    def test_shipped_configs_never_load_numpy_polynomial(self, tmp_path):
+        """Every Gauss-Legendre rule is the package's own: a fresh
+        interpreter that runs each shipped config leaves numpy.polynomial
+        unloaded."""
+        configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+        code = (
+            "import sys\n"
+            "from retfield.cli import main\n"
+            "for i, path in enumerate(sys.argv[2:]):\n"
+            "    assert main(['run', path, '--output-dir', f'{sys.argv[1]}/{i}']) == 0\n"
+            "print('numpy.polynomial' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        path = [str(Path(retfield.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *map(str, configs)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert len(configs) == 3
+        assert out.stdout.splitlines()[-1] == "False True"
 
     def test_velocity_warning_printed(self, tmp_path, capsys):
         text = QUICK.replace("tasks = decompose", "tasks = velocity")
