@@ -16,7 +16,7 @@ from .geometry import Vec3, as_vec3
 EXTERIOR_MARGIN_FRACTION = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box [lo, hi] with nonempty interior."""
 
@@ -55,7 +55,7 @@ class Box:
         return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Ball of given center and radius."""
 

@@ -20,17 +20,18 @@ the source's envelope (``build_rule``), and reports no error below the
 field's rounding floor (``NodeKernel.at``).
 
 Both run on one time-batched engine.  A ``NodeKernel`` is built once per
-sampling for one or more representations; it weights the source's node
-factors (``SourceModel.current_factor``, ``charge_gradient_factor``) by the
-rule's weights, and sums them per ring of the rule, each once, on first
-use (on a ball's axis under a centred envelope, from four nodes a ring,
-``QuadratureRule.quarters``).  At one
-observation point it writes every form's kernel columns from one node frame
-(``columns``), one entry per ring where the point is on the rule's axis,
-else per node.  Over a grid of times it assembles each form's terms from
-one call of the pulse's node sums of F, f and f' against them (``sample``;
-``column_sums``, see ``sources``); at one time, from the pulse evaluated
-once per entry (``at``).  A form (``ZoneKernel``, ``JefimenkoKernel``)
+sampling for one or more representations.  Its node data come from one
+builder, ``_rings``: it weights the source's node factors
+(``SourceModel.current_factor``, ``charge_gradient_factor``) by a rule's
+weights and sums them per ring, each ring size once, on first use (on a
+ball's axis under a centred envelope, over four nodes a ring,
+``QuadratureRule.quarters``).  At one observation point it writes every
+form's kernel columns from one node frame (``columns``), one entry per
+ring where the point is on the rule's axis, else per node.  Over a grid
+of times it assembles each form's terms from one call of the pulse's node
+sums of F, f and f' against them (``sample``; ``column_sums``, see
+``sources``); at one time, from the pulse evaluated once per entry
+(``at``).  A form (``ZoneKernel``, ``JefimenkoKernel``)
 holds no node data: it writes its columns into its rows of the stack and
 turns its sums into terms (``terms_from``).  ``zone_field`` and ``jefimenko_field``
 evaluate one form at a single time, the rungs of ``refined_field``;
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Mapping
 
@@ -121,20 +121,27 @@ def _fold(a: np.ndarray | None, size: int) -> np.ndarray | None:
     return a if a is None or size == 1 else a.reshape(*a.shape[:-1], -1, size).sum(-1)
 
 
-def _rings(kernel: NodeKernel, size: int) -> SimpleNamespace:
-    """``kernel``'s node data summed over each ring of ``size`` nodes, as a
-    form's ``columns`` reads it: each ring's first node (3, rings), W = sum
-    w*A*g, the charge factors (3, rings) or None and, for zones on rings of
-    more than one node, with e = first node - node, the ``spread`` (E1, E2)
-    = (sum w*A*g*e, sum w*A*g*e (e . p_hat))."""
-    nodes, w, charge = kernel.nodes, kernel.weighted, getattr(kernel, "charge_weights", None)
+def _rings(src: SourceModel, rule: QuadratureRule, forms, size: int) -> SimpleNamespace:
+    """The node data of ``forms`` on ``rule``, summed over each ring of
+    ``size`` nodes, as a form's ``columns`` reads it: each ring's first node
+    (3, rings), W = sum w*A*g, the charge factors sum -w*A*(H . p_hat)
+    (3, rings), only with the Jefimenko form, else None, and, for zones on
+    rings of more than one node, with e = first node - node, the ``spread``
+    (E1, E2) = (sum w*A*g*e, sum w*A*g*e (e . p_hat))."""
+    nodes = rule.rows
+    # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
+    w = _read_only(rule.weights * src.current_factor(nodes.T))
+    charge = None
+    if KERNELS["jefimenko"] in forms:
+        charge_factor = src.charge_gradient_factor(nodes.T).T
+        charge = _read_only(np.multiply(rule.weights, charge_factor, order="C"))
     spread = None
-    if size > 1 and any(f.representation == "zones" for f in kernel.forms):
+    if size > 1 and KERNELS["zones"] in forms:
         e = nodes[:, ::size, None] - nodes.reshape(3, -1, size)
         e1 = (w.reshape(-1, size) * e).sum(axis=-1)
-        e *= w.reshape(-1, size) * np.einsum("i,irn->rn", kernel.src.polarization, e)
+        e *= w.reshape(-1, size) * np.einsum("i,irn->rn", src.polarization, e)
         spread = (e1, e.sum(axis=-1))
-    return SimpleNamespace(src=kernel.src, nodes=np.ascontiguousarray(nodes[:, ::size]),
+    return SimpleNamespace(src=src, nodes=np.ascontiguousarray(nodes[:, ::size]),
                            weighted=_fold(w, size), charge_weights=_fold(charge, size),
                            spread=spread)
 
@@ -143,16 +150,13 @@ class NodeKernel:
     """The kernel of one or more representations (``KERNELS``) on one
     sampling: one source, rule and constants.
 
-    It holds, read-only since it serves every radius and thread, and each
-    built on first use: the (3, nodes) node coordinates, the weighted
-    current factor w*A*g and, only when the Jefimenko form is among its
-    forms, the (3, nodes) weighted charge gradient factor -w*A*(H . p_hat),
-    the gradient of the charge per unit F(t); ``rings`` holds them summed
-    per ring of one node or the rule's (``ring_sums``).  On the axis of a ball rule of
-    order >= 2 whose source's envelope is centred on the ball, the ring
-    sums are those of the rule's ``quarters``, four nodes a ring, so the
-    rule's own nodes are never built there (but for the Jefimenko form's
-    rounding floor, ``at``).  Per kind (F, f, f') its forms' rows of
+    ``rings`` holds, per ring size, the rule's node data summed per ring
+    (``ring_sums``), built on first use and shared by every radius and
+    thread.  On the axis of a ball rule of order >= 2 whose source's
+    envelope is centred on the ball, the ring sums are those of the rule's
+    ``quarters``, four nodes a ring, so the rule's own nodes are never
+    built there (but for the Jefimenko form's rounding floor, which reads
+    rings of one node, ``at``).  Per kind (F, f, f') its forms' rows of
     columns are stacked in their given order: ``spans`` holds, per form,
     the slice of each kind's stack that is its own (None for no rows).
     """
@@ -172,37 +176,18 @@ class NodeKernel:
                       for form, end in zip(self.forms, ends)]
         self.height, self.splits = ends[-1].sum(), np.cumsum(ends[-1])[:-1]
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.rule.rows
-
-    @cached_property
-    def weighted(self) -> np.ndarray:
-        # (nodes, 3) in F-order: the envelope's sums over a node's components are row adds
-        return _read_only(self.rule.weights * self.src.current_factor(self.nodes.T))
-
-    @cached_property
-    def charge_weights(self) -> np.ndarray:
-        if KERNELS["jefimenko"] not in self.forms:
-            raise AttributeError("charge_weights: the Jefimenko form is not among this kernel's")
-        charge_factor = self.src.charge_gradient_factor(self.nodes.T).T
-        return _read_only(np.multiply(self.rule.weights, charge_factor, order="C"))
-
     def ring_sums(self, size: int) -> SimpleNamespace:
         """The node data summed per ring of ``size`` nodes (``_rings``),
         built once."""
         with self._lock:
             if size not in self.rings:
-                rule = self.rule
+                rule, fold = self.rule, size
                 # both envelope kinds are Gaussians radial about their centre
                 # (QuadratureRule.quarters); 2*order >= 3 azimuths
                 if size == rule.ring > 2 and np.array_equal(self.src.envelope.center,
                                                             rule.domain.center):
-                    forms = [form.representation for form in self.forms]
-                    self.rings[size] = _rings(
-                        NodeKernel(self.src, rule.quarters(), forms, self.constants), 4)
-                else:
-                    self.rings[size] = _rings(self, size)
+                    rule, fold = rule.quarters(), 4
+                self.rings[size] = _rings(self.src, rule, self.forms, fold)
             return self.rings[size]
 
     def _stack(self, rings, r, theta):
@@ -238,14 +223,15 @@ class NodeKernel:
         ring sums of |data| (a node is a ring of one; a ring shares its pulse
         value) at theta = 0: zones rows theta (theta . p_hat) are at most the
         scalar row.  The Jefimenko form's sums of |w*A*(H . p_hat)| are taken
-        node by node.  numpy's reductions form the sums, unmoved by BLAS threads."""
+        node by node, from rings of one node.  numpy's reductions form the
+        sums, unmoved by BLAS threads."""
         c, k_c = self.constants.c, self.constants.coulomb
         delays, stacked = self.columns(x)
         pulse = self.src.profile.evaluate(t - delays)
         sums = [None if cols is None else np.einsum("kn,n->k", cols, values)[None]
                 for cols, values in zip(stacked, pulse)]
         ring = len(self.rule) // delays.size
-        charge = getattr(self, "charge_weights", None)
+        charge = self.ring_sums(1).charge_weights if KERNELS["jefimenko"] in self.forms else None
         # a ring's w*A*g share a sign, so |W| is the sum of their magnitudes
         magnitudes = SimpleNamespace(
             src=self.src, spread=None, weighted=np.abs(self.ring_sums(ring).weighted),

@@ -21,7 +21,7 @@ stay finite as long as the observation point is outside the domain.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,15 +68,16 @@ def _ball_arrays(center: Vec3, f: BallFactors):
     return rows, weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     # (3, n): the node coordinates one row per component, read-only since
     # every kernel on this rule shares them; None for a ball rule's, which
-    # are built from its ``factors`` on first use (``__getattr__``)
-    rows: np.ndarray
+    # are built from its ``factors`` on first use (``__getattr__``), and so
+    # left out of ``repr``
+    rows: np.ndarray = field(repr=False)
     # (n,), positive; summing to volume(domain) unless built for an envelope;
     # None with ``rows``
-    weights: np.ndarray
+    weights: np.ndarray = field(repr=False)
     order: int
     domain: Domain
     axis: Vec3 | None = None  # a ball's unit polar axis
@@ -257,6 +258,8 @@ def build_rule(domain: Domain, order: int, envelope=None, axis=None) -> Quadratu
             wr = wr * r**2
         mu, wmu = _gauss_legendre(*legendre, -1.0, 1.0)
         a = as_vec3((0.0, 0.0, 1.0) if axis is None else axis)
+        if not np.any(a):
+            raise ValueError("a ball rule's axis must be a nonzero vector")
         a = a / np.linalg.norm(a)
         e1 = np.eye(3)[np.argmin(np.abs(a))] - a[np.argmin(np.abs(a))] * a
         frame = np.array([e1 / np.linalg.norm(e1), np.cross(a, e1 / np.linalg.norm(e1)), a])

@@ -129,7 +129,7 @@ def _first_below(ordered, times, t0, unit, bounds) -> np.ndarray:
         first[ahead] = np.searchsorted(ordered, ordered[first[ahead]], side="right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expansion:
     """A pulse where it is on, as ``moment_sums`` sums it over nodes sorted
     by delay.
@@ -283,7 +283,6 @@ class _Pulse:
         return moment_sums(self, delays, columns, times)
 
 
-@dataclass(frozen=True)
 class SineSquaredPulse(_Pulse):
     """sin^2 burst on [t_on, t_on + tau]; exactly zero outside."""
 
@@ -332,7 +331,6 @@ class SineSquaredPulse(_Pulse):
         return 4
 
 
-@dataclass(frozen=True)
 class DifferentiatedGaussianPulse(_Pulse):
     """Derivative-of-Gaussian burst clipped to [t_on, t_on + tau].
 
@@ -420,7 +418,7 @@ class DifferentiatedGaussianPulse(_Pulse):
 TimeProfile = Union[SineSquaredPulse, DifferentiatedGaussianPulse]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianEnvelope:
     """Isotropic Gaussian bump exp(-|x - center|^2 / (2 sigma^2))."""
 
@@ -463,7 +461,7 @@ class GaussianEnvelope:
         return (2.0 * np.pi) ** 1.5 * self.sigma**3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedGaussianEnvelope(GaussianEnvelope):
     """Gaussian chopped to zero outside |x - center| <= cut_radius.
 
@@ -546,7 +544,7 @@ def make_envelope(
     return cls(center=center, sigma=sigma, cut_radius=cut_radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceModel:
     """Separable current density A * p_hat * g(x') * f(t') on a domain.
 

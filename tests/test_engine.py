@@ -114,29 +114,49 @@ BOTH = ("zones", "jefimenko")
 
 @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
 def test_kernel_weights_are_rule_weights_times_source_factors(envelope, monkeypatch):
-    """The kernel takes its node factors from SourceModel, bit for bit;
-    a zones-only kernel never evaluates the Hessian."""
+    """The kernel's rings of one node take their factors from SourceModel,
+    bit for bit; a zones-only kernel never evaluates the Hessian."""
     src = source(envelope)
     rule = build_rule(src.domain, 8)
     current = rule.weights * src.current_factor(rule.nodes)
     charge = rule.weights[:, None] * src.charge_gradient_factor(rule.nodes)
-    kernel = NodeKernel(src, rule, BOTH, NATURAL)
-    assert kernel.weighted.tobytes() == current.tobytes()
-    assert kernel.charge_weights.tobytes() == np.ascontiguousarray(charge.T).tobytes()
-    assert kernel.nodes.tobytes() == np.ascontiguousarray(rule.nodes.T).tobytes()
-    for array in (kernel.nodes, kernel.weighted, kernel.charge_weights):
+    nodes = NodeKernel(src, rule, BOTH, NATURAL).ring_sums(1)
+    assert nodes.weighted.tobytes() == current.tobytes()
+    assert nodes.charge_weights.tobytes() == np.ascontiguousarray(charge.T).tobytes()
+    assert nodes.nodes.tobytes() == np.ascontiguousarray(rule.nodes.T).tobytes()
+    for array in (nodes.nodes, nodes.weighted, nodes.charge_weights):
         assert array.flags.c_contiguous and not array.flags.writeable
     # the rule holds its nodes once: (3, n) rows, which its kernels alias
-    assert kernel.nodes is rule.rows and np.shares_memory(rule.nodes, rule.rows)
+    assert np.shares_memory(nodes.nodes, rule.rows) and np.shares_memory(rule.nodes, rule.rows)
     assert not rule.nodes.flags.writeable and not rule.rows.flags.writeable
 
-    def no_hessian(self, points):
+    def no_hessian(self, points, direction):
         raise AssertionError("the zones kernel evaluated the Hessian")
 
     monkeypatch.setattr(type(src.envelope), "hessian", no_hessian)
-    zones = NodeKernel(src, rule, ("zones",), NATURAL)
+    zones = NodeKernel(src, rule, ("zones",), NATURAL).ring_sums(1)
     assert zones.weighted.tobytes() == current.tobytes()
-    assert not hasattr(zones, "charge_weights")
+    assert zones.charge_weights is None
+
+
+def test_on_axis_sweep_of_both_forms_builds_one_kernel(monkeypatch):
+    """A sweep of both forms along a ray through a centred ball's centre
+    takes its ring sums from the rule's quarters without building a second
+    kernel on them."""
+    src = source("gaussian")
+    direction = np.array([1.0, 0.3, 0.2]) / np.linalg.norm([1.0, 0.3, 0.2])
+    rule = build_rule(src.domain, 10, src.envelope, direction)
+    built = []
+    init = NodeKernel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeKernel, "__init__", counted)
+    sample_representations(src, BOTH, src.domain.center, direction, RADII, TIMES, rule)
+    assert len(built) == 1
+    assert set(built[0].rings) == {rule.ring}
 
 
 @pytest.mark.parametrize("envelope", ["gaussian", "truncated"])

@@ -6,8 +6,15 @@ from legacy_fields import legacy_build_rule
 
 from retfield import quadrature
 from retfield.domains import Ball, Box
+from retfield.geometry import NATURAL, PhysicalConstants
 from retfield.quadrature import build_rule
-from retfield.sources import GaussianEnvelope, TruncatedGaussianEnvelope
+from retfield.sources import (
+    DifferentiatedGaussianPulse,
+    GaussianEnvelope,
+    SineSquaredPulse,
+    SourceModel,
+    TruncatedGaussianEnvelope,
+)
 
 UNIT_BOX = Box(lo=(0, 0, 0), hi=(1, 1, 1))
 SYM_BOX = Box(lo=(-1, -1, -1), hi=(1, 1, 1))
@@ -352,6 +359,11 @@ class TestRuleAxis:
         with pytest.raises(ValueError, match="non-finite"):
             build_rule(ball, 7, axis=(np.inf, 0, 0))
 
+    def test_zero_axis_is_rejected(self):
+        """A zero axis has no direction: no rule of NaN nodes is built."""
+        with pytest.raises(ValueError, match="nonzero"):
+            build_rule(Ball(center=CENTRE, radius=0.7), 7, axis=(0, 0, 0))
+
     def test_tilted_ball_rule_integrates_polynomials(self):
         # int over a ball of radius R of (d . a)^2 = 4 pi R^5 / 15 along any unit a
         ball = Ball(center=CENTRE, radius=1.3)
@@ -368,3 +380,33 @@ class TestRuleAxis:
         assert rule.weights.tobytes() == plain.weights.tobytes()
         assert rule.ring == 1 and rule.axis is None
         assert rule.ring_at(box.center + 2.0 * np.array(TILT)) == 1
+
+
+def test_records_of_arrays_compare_and_hash_by_identity():
+    """Domains, envelopes, sources and rules hold arrays, so they compare
+    and hash by identity, and a ball rule's repr leaves its nodes unbuilt;
+    the pulses and constants keep value equality."""
+    def twins():
+        ball = Ball(center=(0.1, 0.0, 0.0), radius=0.4)
+        envelope = GaussianEnvelope(center=(0.1, 0.0, 0.0), sigma=0.05)
+        pulse = SineSquaredPulse(t_on=0.0, tau=1.0)
+        return [
+            ball,
+            Box(lo=(0, 0, 0), hi=(1, 1, 1)),
+            envelope,
+            TruncatedGaussianEnvelope(center=(0, 0, 0), sigma=0.1, cut_radius=0.2),
+            SourceModel(envelope, pulse, (0.0, 0.0, 1.0), 1.0, ball),
+            build_rule(ball, 22, envelope),
+            pulse.expansion(np.zeros(3)),
+        ]
+
+    for one, other in zip(twins(), twins()):
+        assert one == one and one != other and len({one, other}) == 2
+    rule = twins()[-2]
+    assert "rows" not in repr(rule) and not {"rows", "weights"} & set(vars(rule))
+    for pulse in (SineSquaredPulse, DifferentiatedGaussianPulse):
+        assert pulse(0.0, 2.0) == pulse(0.0, 2.0) != pulse(0.0, 3.0)
+        assert hash(pulse(0.0, 2.0)) == hash(pulse(0.0, 2.0))
+        assert repr(pulse(0.0, 2.0)) == f"{pulse.__name__}(t_on=0.0, tau=2.0)"
+    assert SineSquaredPulse(0.0, 2.0) != DifferentiatedGaussianPulse(0.0, 2.0)
+    assert PhysicalConstants(c=1.0, coulomb=1.0) == NATURAL
