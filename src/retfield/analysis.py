@@ -3,11 +3,13 @@
 ``sample_representations`` samples one or more representations on a
 (radius, time) grid in one sweep (``sample_waveforms`` samples one).  The
 rest turns the samples into the physics checks this package exists for:
-exact vanishing ahead of the light front, power-law falloff of the
-individual field terms, and the arrival-time/velocity profile of a tracked
-waveform feature.  A feature whose arrival time *decreases* with radius
-yields a negative local velocity; that happens strictly behind the front
-and does not conflict with causality.
+exact vanishing ahead of the light front (``light_front_check``, at most
+``FRONT_RATIO`` of the peak), power-law falloff of the individual field
+terms (``zone_scaling_fit``), and the arrival-time/velocity profile of a
+tracked waveform feature (``feature_arrival_times``, then
+``local_velocity`` on the arrival times).  A feature whose arrival time
+*decreases* with radius yields a negative local velocity; that happens
+strictly behind the front and does not conflict with causality.
 """
 
 from __future__ import annotations
@@ -172,15 +174,12 @@ class FrontCheckResult:
 
 
 def light_front_check(
-    series: WaveformSeries,
-    src: SourceModel,
-    constants: PhysicalConstants = NATURAL,
-    ratio: float = FRONT_RATIO,
+    series: WaveformSeries, src: SourceModel, constants: PhysicalConstants = NATURAL
 ) -> FrontCheckResult:
     """Verify the field magnitude vanishes ahead of the light front.
 
     The precursor is the largest |E| over all samples strictly ahead of
-    the front; it must not exceed ``ratio`` times the global peak |E|.
+    the front; it must not exceed ``FRONT_RATIO`` times the global peak |E|.
     Meaningful for compact-support pulses; clipped pulses report honestly.
     """
     fronts = front_times(series, src, constants)
@@ -191,7 +190,7 @@ def light_front_check(
     return FrontCheckResult(
         max_precursor=max_precursor,
         peak=peak,
-        passed=max_precursor <= ratio * peak,
+        passed=max_precursor <= FRONT_RATIO * peak,
     )
 
 
@@ -254,7 +253,6 @@ class VelocityProfile:
     radii: np.ndarray
     arrival_times: np.ndarray
     velocities: np.ndarray  # one entry per adjacent radius pair
-    feature: str
 
     def negative_segments(self) -> list[tuple[float, float]]:
         """Radius intervals where the tracked feature moves inward in time."""
@@ -265,7 +263,7 @@ class VelocityProfile:
         ]
 
 
-def local_velocity(radii, arrival_times, feature: str = "peak") -> VelocityProfile:
+def local_velocity(radii, arrival_times) -> VelocityProfile:
     """Velocity estimates dr/dt* between adjacent tracked radii.
 
     Negative entries mean the feature arrives *earlier* farther out; pairs
@@ -279,9 +277,7 @@ def local_velocity(radii, arrival_times, feature: str = "peak") -> VelocityProfi
     dt = np.diff(arrival_times)
     with np.errstate(divide="ignore"):
         velocities = np.where(np.abs(dt) < VELOCITY_TIME_FLOOR, np.inf, dr / dt)
-    return VelocityProfile(
-        radii=radii, arrival_times=arrival_times, velocities=velocities, feature=feature
-    )
+    return VelocityProfile(radii=radii, arrival_times=arrival_times, velocities=velocities)
 
 
 def zone_scaling_fit(

@@ -41,7 +41,7 @@ evaluate one form at a single time, the rungs of ``refined_field``;
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Mapping
 
@@ -490,9 +490,4 @@ def refined_field(
                     f"field refinement stalled above tol={tol}: errors {history}"
                 )
         previous = total
-    return FieldDecomposition(
-        terms=decomposition.terms,
-        representation=decomposition.representation,
-        quadrature_error=max(float(err), decomposition.rounding),
-        rounding=decomposition.rounding,
-    )
+    return replace(decomposition, quadrature_error=max(float(err), decomposition.rounding))

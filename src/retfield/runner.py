@@ -8,7 +8,8 @@ The memo samples every representation the tasks read in one sweep, at
 most once; a thread pool may split it by radius, and artifacts are
 byte-identical regardless of the worker count.  A failed physics check
 (e.g. a front check on a leaky pulse) is recorded but is not an execution
-error; only exceptions mark a task failed.
+error; only exceptions mark a task failed.  The calibrated order, each
+sweep and each artifact written are logged at INFO.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ def _calibrate(src, config: RunConfig, constants):
     ).quadrature_error
     rule = rules[max(rules)]
     met = error <= config.tol
+    logger.info("calibrated order %d: error estimate %.3g, tol %g", rule.order, error, config.tol)
     if not met:
         logger.warning(
             "quadrature order %d misses tol %g at the calibration probe: error estimate %.3g",
@@ -216,7 +218,7 @@ def _task_frontcheck(src, config, constants, sample, emit) -> dict[str, Any]:
 def _task_velocity(src, config, constants, sample, emit) -> dict[str, Any]:
     series = sample(config.representation)
     arrivals = feature_arrival_times(series, config.feature, config.window)
-    profile = local_velocity(series.radii, arrivals, config.feature)
+    profile = local_velocity(series.radii, arrivals)
     emit("velocity.csv", emit_velocity_csv, profile)
     front = light_front_check(series, src, constants)
     finite = profile.velocities[np.isfinite(profile.velocities)]
@@ -316,6 +318,7 @@ def run_tasks(
             return sample(representation)
         seconds = time.perf_counter() - start
         cells = len(config.radii) * len(config.times)
+        logger.info("sampled %s: %d cells in %.3f s", " and ".join(sweep), cells, seconds)
         point = series[sweep[0]].point
         rings = max(len(rule) // rule.ring_at(point(i)) for i in range(len(config.radii)))
         for r in sweep:
@@ -338,7 +341,9 @@ def run_tasks(
             start = time.perf_counter()
             path = writer(*args, outdir / name)
             seconds = time.perf_counter() - start
-            report.emission[name] = {"seconds": seconds, "bytes": path.stat().st_size}
+            size = path.stat().st_size
+            report.emission[name] = {"seconds": seconds, "bytes": size}
+            logger.info("wrote %s: %d bytes in %.3f s", path, size, seconds)
         artifacts.append(name)
 
     for name in config.tasks:
@@ -356,4 +361,5 @@ def run_tasks(
 
     if "json" in fmts:
         (outdir / "report.json").write_text(json.dumps(report.to_mapping(), indent=2) + "\n")
+        logger.info("wrote %s", outdir / "report.json")
     return report

@@ -11,7 +11,9 @@ density reconstructed from charge conservation,
 density is a spatial factor of ``SourceModel`` times a pulse quantity:
 ``J = p_hat * current_factor * f``, ``rho = charge_factor * F`` and
 ``grad rho = charge_gradient_factor * F``; the field kernels weight the
-same factors by the quadrature weights.
+same factors by the quadrature weights.  An envelope forms ``x - center``
+and ``g`` once per call (``_bump``); the truncated one sets to +0.0 each
+entry of the smooth value, gradient or Hessian outside its cut sphere.
 
 Each pulse class is the one definition of its burst: its support (the
 times it is on), ``F`` after the burst, and ``F``, ``f`` and ``f'`` where it
@@ -231,9 +233,8 @@ def moment_sums(pulse: "TimeProfile", delays: np.ndarray, columns, times: np.nda
             moments -= prefix[lo[pairs], r0:r1]
             series = coefficients[kind][:, pairs].T[:, :, None]
             np.matmul(moments, series, out=contracted[pairs, :, None])
-        if group.size < pair_time.size:  # a run meets more than one slab
-            contracted = np.add.reduceat(contracted, group)
-        sums[kind][run] = contracted
+        # a time's sum over the slabs its run meets; a lone slab's row is kept as is
+        sums[kind][run] = np.add.reduceat(contracted, group)
         if kind == 0 and pulse.after:
             sums[kind] += pulse.after * prefix[np.searchsorted(marks, a), r0:r1, 0]
     return sums
@@ -435,22 +436,23 @@ class GaussianEnvelope:
     def reach(self) -> float:
         return math.inf
 
-    def value(self, points):
+    def _bump(self, points):
+        """d = x - center and g(x), shapes (..., 3) and (...)."""
         d = np.asarray(points, dtype=float) - self.center
-        r2 = np.sum(d * d, axis=-1)
-        return _scalarize(np.exp(-0.5 * r2 / self.sigma**2))
+        return d, np.exp(-0.5 * np.sum(d * d, axis=-1) / self.sigma**2)
+
+    def value(self, points):
+        return _scalarize(self._bump(points)[1])
 
     def gradient(self, points):
-        d = np.asarray(points, dtype=float) - self.center
-        g = np.exp(-0.5 * np.sum(d * d, axis=-1) / self.sigma**2)
+        d, g = self._bump(points)
         return -d / self.sigma**2 * g[..., None]
 
     def hessian(self, points, direction):
         """H . v, the Hessian of g applied to ``direction`` v, (..., 3):
         g (d (d . v) / sigma^4 - v / sigma^2) with d = x - center."""
-        d = np.asarray(points, dtype=float) - self.center
+        d, g = self._bump(points)
         v = as_vec3(direction)
-        g = np.exp(-0.5 * np.sum(d * d, axis=-1) / self.sigma**2)
         h = d * (np.einsum("...i,i->...", d, v) / self.sigma**4)[..., None]
         h -= v / self.sigma**2
         h *= g[..., None]
@@ -490,21 +492,20 @@ class TruncatedGaussianEnvelope(GaussianEnvelope):
         bound = self.cut_radius + _CUT_SLACK_EPS * np.finfo(float).eps * scale
         return np.sum(d * d, axis=-1) <= bound**2
 
+    def _cut(self, points, out):
+        """``out``, one entry or row per point, set to +0.0 outside the sphere."""
+        out = np.asarray(out)
+        out[~self._mask(points)] = 0.0
+        return out
+
     def value(self, points):
-        v = np.asarray(super().value(points))
-        return _scalarize(np.where(self._mask(points), v, 0.0))
+        return _scalarize(self._cut(points, super().value(points)))
 
     def gradient(self, points):
-        outside = ~self._mask(points)
-        g = super().gradient(points)
-        g[outside] = 0.0
-        return g
+        return self._cut(points, super().gradient(points))
 
     def hessian(self, points, direction):
-        outside = ~self._mask(points)
-        h = super().hessian(points, direction)
-        h[outside] = 0.0
-        return h
+        return self._cut(points, super().hessian(points, direction))
 
     def integral(self) -> float:
         a = self.cut_radius / (self.sigma * math.sqrt(2.0))

@@ -9,6 +9,7 @@ import pytest
 
 import retfield
 from retfield.analysis import (
+    FRONT_RATIO,
     FeatureNotFoundError,
     WaveformSeries,
     feature_arrival_times,
@@ -166,29 +167,37 @@ class TestSampleWaveforms:
         threaded = sample_waveforms(src, "zones", threads=4, **kwargs)
         np.testing.assert_array_equal(serial.total_field(), threaded.total_field())
 
-    def test_thread_pool_is_imported_only_when_used(self):
-        """A fresh interpreter's ``import retfield, retfield.config`` loads
-        neither the thread pool's module nor logging; a sampling on two
-        threads loads the pool."""
+    def test_library_path_loads_no_cli_module(self):
+        """A fresh interpreter's ``import retfield``, a one-thread sampling
+        and a ``refined_field`` ladder load none of the modules that only
+        the command line, the config parser or a thread pool need; importing
+        ``retfield.config`` loads neither the pool's module nor logging, and
+        a sampling on two threads loads the pool."""
         code = textwrap.dedent("""
             import sys
-            import retfield, retfield.config
+            import retfield
             from retfield import Ball, GaussianEnvelope, SineSquaredPulse, SourceModel
-            def loaded():
-                return [m for m in ("concurrent.futures", "logging") if m in sys.modules]
-            print(loaded())
+            def loaded(names=("argparse", "configparser", "json", "logging",
+                              "concurrent.futures", "numpy.polynomial")):
+                return [m for m in names if m in sys.modules]
             src = SourceModel(GaussianEnvelope((0, 0, 0), 0.05), SineSquaredPulse(0.0, 8.0),
                               (0, 0, 1), 1.0, Ball((0, 0, 0), 0.5))
             rule = retfield.build_rule(src.domain, 4)
-            retfield.sample_waveforms(src, "zones", (0, 0, 0), (1, 0, 0), [1.0, 2.0], [1.0, 2.0],
-                                      rule, threads=2)
-            print(loaded()[:1])
+            grid = (src, "zones", (0, 0, 0), (1, 0, 0), [1.0, 2.0], [1.0, 2.0], rule)
+            retfield.sample_waveforms(*grid)
+            retfield.refined_field("jefimenko", src, retfield.ObservationPoint((2.0, 0, 0), 7.0),
+                                   base_order=4, max_order=8)
+            print(loaded())
+            import retfield.config
+            print(loaded(("concurrent.futures", "logging")))
+            retfield.sample_waveforms(*grid, threads=2)
+            print(loaded(("concurrent.futures",)))
         """)
         path = [str(Path(retfield.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.split("\n")[:2] == ["[]", "['concurrent.futures']"]
+        assert out.stdout.splitlines() == ["[]", "[]", "['concurrent.futures']"]
 
     def test_evaluation_error_identifies_cell(self):
         src = small_source()
@@ -238,6 +247,19 @@ class TestLightFront:
         )
         result = light_front_check(series, src)
         assert result.max_precursor == 0.0 and result.passed
+
+    def test_precursor_at_the_threshold_passes_and_above_it_fails(self):
+        """The front at r = 2 is t = 1.5; the precursor at t = 1 is exactly
+        FRONT_RATIO times the peak, then the float above that."""
+        src = small_source()
+        peak = 3.0
+        at_threshold = FRONT_RATIO * peak
+        for precursor, passed in ((at_threshold, True), (np.nextafter(at_threshold, 1.0), False)):
+            series = synthetic_series([2.0], [0.0, 1.0, 2.0, 3.0],
+                                      lambda r, t: {1.0: precursor, 3.0: -peak}.get(t, 0.0))
+            result = light_front_check(series, src)
+            assert (result.max_precursor, result.peak) == (precursor, peak)
+            assert result.passed is passed
 
 
 class TestFeatureArrivalTimes:

@@ -408,6 +408,24 @@ tasks = scaling
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["tasks"][0]["details"]["quadrature"]["met"] is False
 
+    def test_info_log_tells_the_run(self, tmp_path, caplog):
+        """At INFO the runner logs the calibrated order and estimate, each
+        sweep and each artifact it writes, in that order."""
+        with caplog.at_level(logging.INFO, logger="retfield.runner"):
+            report = run_tasks(quick_config("decompose compare"), output_dir=tmp_path)
+        quadrature = report.tasks[0].details["quadrature"]
+        written = [f"wrote {tmp_path / name}: {entry['bytes']} bytes in {entry['seconds']:.3f} s"
+                   for name, entry in report.emission.items()]
+        assert list(report.emission) == ["waveform_zones.csv", "waveform_jefimenko.csv"]
+        assert {r.levelno for r in caplog.records} == {logging.INFO}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"calibrated order {quadrature['order']}: "
+            f"error estimate {quadrature['error_estimate']:.3g}, tol 1e-08",
+            f"sampled zones and jefimenko: 27 cells in {report.profile['zones']['seconds']:.3f} s",
+            *written,
+            f"wrote {tmp_path / 'report.json'}",
+        ]
+
     def test_stalled_calibration_raises(self, tmp_path, monkeypatch):
         monkeypatch.setitem(evaluators.EVALUATORS, "zones", diverging_zones)
         with pytest.raises(ConvergenceError, match="stalled"):
@@ -646,11 +664,17 @@ class TestCli:
         path.write_text(text)
         return path
 
-    def test_run_exits_zero(self, tmp_path, capsys):
+    def test_run_exits_zero(self, tmp_path, capsys, caplog):
+        """The CLI's handler stays at WARNING: a logger open to INFO adds
+        nothing to what a run prints."""
         path = self.write(tmp_path)
-        code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        with caplog.at_level(logging.INFO, logger="retfield"):
+            code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
         assert code == 0
-        assert "decompose: ok" in capsys.readouterr().out
+        assert any(r.levelno == logging.INFO for r in caplog.records)
+        out, err = capsys.readouterr()
+        assert out.startswith("decompose: ok (") and out.count("\n") == 1
+        assert err == ""
 
     def test_validate_only(self, tmp_path, capsys):
         path = self.write(tmp_path)
